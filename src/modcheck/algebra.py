@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import NoUnity, NotAssociative, NotClosed, NotUnital, ShapeMismatch
 from .field import PrimeField
-from .linalg import Mat, Vec, vec_add, vec_scale
+from .linalg import Vec, vec_add, vec_scale
 
 
 @dataclass(frozen=True)

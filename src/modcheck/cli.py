@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ModcheckError, SchemaError, TooLarge, UnresolvedDivision, ZeroInput
 from .io import load_module
-from .properties import lattice_of, property_report
+from .lattice import lattice_of
+from .properties import property_report
+from .summands import fiep_scan
 from .verify import RUN_ORDER, VerifyConfig, verify_claims
 
 EXIT_OK = 0
@@ -70,36 +72,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    M = _load(args.module)
-    lat = lattice_of(M, cap_dim=args.cap_dim)
-    edges = lat.hasse_edges
-    if args.format == "dot":
-        lines = ["digraph lattice {", "  rankdir=BT;"]
-        for i, member in enumerate(lat.members):
-            lines.append(f'  n{i} [label="dim {member.dim}"];')
-        for i, j in edges:
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        _emit("\n".join(lines), args)
-    else:
-        doc = {
-            "schema_version": 1,
-            "nodes": [
-                {"index": i, "dim": m.dim, "basis": [list(r) for r in m.basis]}
-                for i, m in enumerate(lat.members)
-            ],
-            "edges": [list(e) for e in edges],
-        }
-        _emit(doc, args)
+    lat = lattice_of(_load(args.module), cap_dim=args.cap_dim)
+    _emit(lat.to_dot() if args.format == "dot" else lat.to_json(), args)
     return EXIT_OK
 
 
 def cmd_fiep(args) -> int:
-    from .summands import has_fiep
-
-    M = _load(args.module)
-    lattice_of(M, cap_dim=args.cap_dim)
-    report = has_fiep(M, n_max=args.n_max, seed=args.seed)
+    lat = lattice_of(_load(args.module), cap_dim=args.cap_dim)
+    report = fiep_scan(lat, n_max=args.n_max, seed=args.seed)
     doc = report.to_json()
     doc["schema_version"] = 1
     if len(doc["witnesses"]) > FIEP_WITNESS_LIMIT:
@@ -110,11 +90,9 @@ def cmd_fiep(args) -> int:
 
 
 def cmd_summands(args) -> int:
-    from .summands import summand_indices
-
     M = _load(args.module)
     lat = lattice_of(M, cap_dim=args.cap_dim)
-    idxs = summand_indices(lat)
+    idxs = lat.summand_indices()
     doc = {
         "schema_version": 1,
         "module_dim": M.dim,
@@ -350,7 +328,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         _apply_config_file(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (modcheck lattice … | head)
+        _stdout_to_devnull()
+        return EXIT_OK
     except TooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
@@ -366,6 +350,18 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so the flush at interpreter exit cannot
+    hit the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

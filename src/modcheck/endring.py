@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .homs import hom_space
-from .linalg import express, identity, rank, rref
+from .linalg import express, identity, lin_comb, mat_mul, rank, rref, rref_array
 from .modules import RepModule
 
 DEFAULT_CAP_END = 1 << 20
@@ -46,14 +46,7 @@ class EndRing:
 
     def matrix_of(self, coords) -> tuple:
         n = self.module.dim
-        p = self.p
-        out = [[0] * n for _ in range(n)]
-        for c, B in zip(coords, self.basis):
-            if c:
-                for r in range(n):
-                    for s in range(n):
-                        out[r][s] = (out[r][s] + c * B[r][s]) % p
-        return tuple(tuple(row) for row in out)
+        return lin_comb(coords, self.basis, n, n, self.p)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -95,8 +88,6 @@ def endomorphism_ring(M: RepModule, cap: int = DEFAULT_CAP_END) -> EndRing:
         co = express(flat, flat_red, flat_piv, p)
         assert co is not None
         return co
-
-    from .linalg import mat_mul
 
     table = tuple(
         tuple(coords_of_matrix(mat_mul(basis[i], basis[j], p)) for j in range(r))
@@ -170,29 +161,5 @@ def _is_local_by_span(E: EndRing) -> bool:
     p = E.p
     count = E.size - len(E.units)
     nonunit_rows = np.array([c for c in E.elements() if c not in E.units], dtype=np.int64)
-    dim_span = _rank_numpy(nonunit_rows, p)
-    return p**dim_span == count
-
-
-def _rank_numpy(A: np.ndarray, p: int) -> int:
-    """Rank mod p of a (possibly very tall) integer matrix."""
-    A = A.copy() % p
-    r = 0
-    rows, cols = A.shape
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        mask = A[:, c] != 0
-        mask[r] = False
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % p
-        r += 1
-    return r
+    _, pivots = rref_array(nonunit_rows, p)
+    return p ** len(pivots) == count

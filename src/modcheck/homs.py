@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import ShapeMismatch, TooLarge
-from .linalg import Mat, left_kernel, mat_mul, rank, rref
+from .linalg import left_kernel, lin_comb, mat_mul, rank
 from .modules import ModuleHom, RepModule, Submodule, _as_rep, make_submodule
 
 
@@ -56,10 +56,6 @@ def hom_space(A, B) -> tuple:
     return tuple(basis)
 
 
-def hom_space_dim(A, B) -> int:
-    return len(hom_space(A, B))
-
-
 def enumerate_homs(A, B, cap: int = 1 << 20):
     """Yield every hom A -> B.  Raises TooLarge when p^dim exceeds cap."""
     src = _as_rep(A)
@@ -69,29 +65,14 @@ def enumerate_homs(A, B, cap: int = 1 << 20):
     count = p ** len(basis)
     if count > cap:
         raise TooLarge("hom enumeration", count, cap)
-    na, nb = src.dim, tgt.dim
     for coeffs in product(range(p), repeat=len(basis)):
-        H = [[0] * nb for _ in range(na)]
-        for c, Hb in zip(coeffs, basis):
-            if c:
-                for r in range(na):
-                    for s in range(nb):
-                        H[r][s] = (H[r][s] + c * Hb[r][s]) % p
-        yield ModuleHom(A, B, tuple(tuple(row) for row in H))
+        yield ModuleHom(A, B, lin_comb(coeffs, basis, src.dim, tgt.dim, p))
 
 
 def hom_from_coords(A, B, basis: tuple, coeffs) -> ModuleHom:
     """Assemble the hom with the given coordinates in a hom_space basis."""
     src = _as_rep(A)
-    tgt = _as_rep(B)
-    p = src.field.p
-    H = [[0] * tgt.dim for _ in range(src.dim)]
-    for c, Hb in zip(coeffs, basis):
-        if c % p:
-            for r in range(src.dim):
-                for s in range(tgt.dim):
-                    H[r][s] = (H[r][s] + c * Hb[r][s]) % p
-    return ModuleHom(A, B, tuple(tuple(row) for row in H))
+    return ModuleHom(A, B, lin_comb(coeffs, basis, src.dim, _as_rep(B).dim, src.field.p))
 
 
 def kernel(h: ModuleHom) -> Submodule:
@@ -132,36 +113,3 @@ def restrict(h: ModuleHom, N: Submodule) -> ModuleHom:
         raise ShapeMismatch("restriction domain is not a submodule of the source")
     rows = tuple(h.apply(b) for b in N.basis)
     return ModuleHom(N, h.target, rows)
-
-
-def corestrict(h: ModuleHom, T: Submodule) -> ModuleHom:
-    """Retarget onto a submodule of the target that contains the image."""
-    if not isinstance(h.target, RepModule) or T.parent != h.target:
-        raise ShapeMismatch("corestriction target is not a submodule of the target")
-    p = h.source_module.field.p
-    rows = []
-    from .linalg import express
-
-    piv = T.pivots
-    for row in h.matrix:
-        co = express(row, T.basis, piv, p)
-        if co is None:
-            raise ShapeMismatch("image is not contained in the corestriction target")
-        rows.append(co)
-    return ModuleHom(h.source, T, tuple(rows))
-
-
-def invert(h: ModuleHom) -> ModuleHom:
-    if not is_iso(h):
-        raise ShapeMismatch("only isomorphisms invert")
-    from .linalg import inverse
-
-    p = h.source_module.field.p
-    return ModuleHom(h.target, h.source, inverse(h.matrix, p))
-
-
-def map_submodule(h: ModuleHom, rows: Mat) -> Submodule:
-    """Image of the span of `rows` (source coordinates) under h."""
-    p = h.source_module.field.p
-    imgs = tuple(h.apply(r) for r in rows)
-    return make_submodule(h.target_module, rref(imgs, p)[0] if imgs else ())

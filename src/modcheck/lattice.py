@@ -8,21 +8,29 @@ Each member carries a bitset of the point indices it contains, which makes
 inclusion a subset test and intersection a bitwise AND plus one dictionary
 lookup.  The lattice order is by (dimension, basis), so indices are stable
 across runs.
+
+The lattice is the per-module context of every scan: besides the order it
+keeps the data the scans share (maximal and minimal members, radical and
+socle, direct summands with their complements), each computed on first
+use and then stored.  lattice_of hands out lattices from one bounded memo
+keyed on the module.
 """
 
 from __future__ import annotations
 
-import json
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import TooLarge
 from .linalg import rref, span_point_bits
-from .modules import RepModule, Submodule, submodule_generated
+from .modules import RepModule, Submodule
 
 DEFAULT_CAP_DIM = 8
 DEFAULT_CAP_POINTS = 1 << 16
+LATTICE_MEMO_SIZE = 128  # lattices lattice_of keeps, least recently used dropped first
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,10 @@ class SubmoduleLattice:
         return result
 
     def maximal_indices(self) -> tuple:
-        return tuple(i for (i, j) in self.hasse_edges if j == self.full_index)
+        return self._maximal
 
     def atom_indices(self) -> tuple:
-        return tuple(j for (i, j) in self.hasse_edges if i == self.zero_index)
+        return self._atoms
 
     def sum_is_proper(self, i: int, j: int) -> bool:
         """Is member i + member j a proper submodule?
@@ -89,31 +97,127 @@ class SubmoduleLattice:
         some maximal member, which avoids computing the join.
         """
         union = self.bits[i] | self.bits[j]
-        return any(union & ~self.bits[m] == 0 for m in self.maximal_indices())
+        return any(union & ~b == 0 for b in self._maximal_bits)
 
     def proper_indices(self) -> tuple:
         return tuple(range(len(self.members) - 1))
 
+    def radical_index(self) -> int:
+        """Intersection of the maximal members (the top if there are none)."""
+        return self._radical
+
+    def socle_index(self) -> int:
+        """Sum of the minimal members (zero if there are none)."""
+        return self._socle
+
+    def complement_index(self, i: int) -> int | None:
+        """First complement of member i in canonical order, or None."""
+        return self._complements[i]
+
+    def summand_indices(self) -> tuple:
+        """Indices of all direct summands, ascending canonical order."""
+        return self._summands
+
+    @cached_property
+    def _maximal(self) -> tuple:
+        return tuple(i for (i, j) in self.hasse_edges if j == self.full_index)
+
+    @cached_property
+    def _maximal_bits(self) -> tuple:
+        return tuple(self.bits[m] for m in self._maximal)
+
+    @cached_property
+    def _atoms(self) -> tuple:
+        return tuple(j for (i, j) in self.hasse_edges if i == self.zero_index)
+
+    @cached_property
+    def _radical(self) -> int:
+        if not self._maximal:
+            return self.full_index
+        b = self._maximal_bits[0]
+        for m in self._maximal_bits[1:]:
+            b &= m
+        return self._index_by_bits[b]
+
+    @cached_property
+    def _socle(self) -> int:
+        if not self._atoms:
+            return self.zero_index
+        union = 0
+        for a in self._atoms:
+            union |= self.bits[a]
+        # the join is the smallest member whose point set contains the union
+        best = self.full_index
+        for k in range(len(self.members)):
+            if union & ~self.bits[k] == 0 and self.members[k].dim < self.members[best].dim:
+                best = k
+        return best
+
+    @cached_property
+    def _complements(self) -> tuple:
+        # over a field, X ∩ Y = 0 plus complementary dimensions gives X ⊕ Y = M
+        dims = [m.dim for m in self.members]
+        full = self.module.dim
+        return tuple(
+            next(
+                (j for j, d in enumerate(dims) if d == full - di and bi & self.bits[j] == 1),
+                None,
+            )
+            for di, bi in zip(dims, self.bits)
+        )
+
+    @cached_property
+    def _summands(self) -> tuple:
+        return tuple(i for i, c in enumerate(self._complements) if c is not None)
+
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
-            "module_dim": self.module.dim,
-            "p": self.module.field.p,
-            "members": [
+            "nodes": [
                 {"index": i, "dim": s.dim, "basis": [list(r) for r in s.basis]}
                 for i, s in enumerate(self.members)
             ],
-            "hasse_edges": [list(e) for e in self.hasse_edges],
+            "edges": [list(e) for e in self.hasse_edges],
         }
 
     def to_dot(self) -> str:
         lines = ["digraph lattice {", "  rankdir=BT;"]
-        for i, s in enumerate(self.members):
-            lines.append(f'  n{i} [label="{i}: dim {s.dim}"];')
-        for i, j in self.hasse_edges:
-            lines.append(f"  n{i} -> n{j};")
+        lines += [f'  n{i} [label="dim {s.dim}"];' for i, s in enumerate(self.members)]
+        lines += [f"  n{i} -> n{j};" for i, j in self.hasse_edges]
         lines.append("}")
         return "\n".join(lines)
+
+
+def _check_caps(M: RepModule, cap_dim: int, cap_points: int) -> None:
+    if M.dim > cap_dim:
+        raise TooLarge("module dimension", M.dim, cap_dim)
+    n_points = M.field.p**M.dim
+    if n_points > cap_points:
+        raise TooLarge("point count", n_points, cap_points)
+
+
+_memo: OrderedDict = OrderedDict()  # RepModule -> SubmoduleLattice, oldest use first
+
+
+def lattice_of(
+    M: RepModule,
+    cap_dim: int = DEFAULT_CAP_DIM,
+    cap_points: int = DEFAULT_CAP_POINTS,
+) -> SubmoduleLattice:
+    """The lattice of M, shared by every scan over M.
+
+    Memoized on M alone and bounded by LATTICE_MEMO_SIZE.  The caps are
+    checked on every call before the lookup, so a lattice built under
+    larger caps is never handed to a caller with smaller ones.
+    """
+    _check_caps(M, cap_dim, cap_points)
+    lat = _memo.pop(M, None)
+    if lat is None:
+        lat = enumerate_submodules(M, cap_dim=cap_dim, cap_points=cap_points)
+    _memo[M] = lat
+    if len(_memo) > LATTICE_MEMO_SIZE:
+        _memo.popitem(last=False)
+    return lat
 
 
 def enumerate_submodules(
@@ -126,13 +230,10 @@ def enumerate_submodules(
     Raises TooLarge when the module dimension or the point count p^dim
     exceeds the caps; raise the caps explicitly to push further.
     """
+    _check_caps(M, cap_dim, cap_points)
     p = M.field.p
     n = M.dim
-    if n > cap_dim:
-        raise TooLarge("module dimension", n, cap_dim)
     n_points = p**n
-    if n_points > cap_points:
-        raise TooLarge("point count", n_points, cap_points)
 
     # batch-compute the action images of every point: the cyclic closure of
     # v is the span of {v . e_i}, so one numpy product per basis element
@@ -190,12 +291,3 @@ def enumerate_submodules(
         _index_by_basis={s.basis: i for i, s in enumerate(members)},
         _index_by_bits={b: i for i, b in enumerate(bits)},
     )
-
-
-def lattice_to_file(lat: SubmoduleLattice, path: str, fmt: str = "json") -> None:
-    if fmt == "dot":
-        text = lat.to_dot()
-    else:
-        text = json.dumps(lat.to_json(), indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")

@@ -69,6 +69,17 @@ def transpose(A: Mat) -> Mat:
     return tuple(zip(*A)) if A else ()
 
 
+def lin_comb(coeffs, mats, rows: int, cols: int, p: int) -> Mat:
+    """sum coeffs[i] * mats[i] mod p, a rows x cols matrix (zero if empty)."""
+    out = [[0] * cols for _ in range(rows)]
+    for c, B in zip(coeffs, mats):
+        if c % p:
+            for r in range(rows):
+                for s in range(cols):
+                    out[r][s] = (out[r][s] + c * B[r][s]) % p
+    return tuple(tuple(row) for row in out)
+
+
 def rref(rows, p: int) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form over F_p.
 
@@ -84,7 +95,8 @@ def rref(rows, p: int) -> tuple[Mat, tuple[int, ...]]:
     if work and len(work) * ncols >= 4096:
         # reduced echelon form is unique for a given row space, so the
         # vectorized route returns exactly what the scalar loop would
-        return _rref_numpy(work, ncols, p)
+        red, pivots = rref_array(np.array(work, dtype=np.int64), p)
+        return tuple(tuple(int(x) for x in row) for row in red), pivots
     pivots = []
     r = 0
     for c in range(ncols):
@@ -103,11 +115,17 @@ def rref(rows, p: int) -> tuple[Mat, tuple[int, ...]]:
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def _rref_numpy(work, ncols: int, p: int):
-    A = np.array(work, dtype=np.int64)
+def rref_array(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form mod p of an integer array, row-vectorized.
+
+    For tall inputs (many rows, few columns), where one numpy update per
+    pivot column beats the scalar loop.  Returns the nonzero rows of the
+    reduced array and the pivot columns; the input is not modified.
+    """
+    A = A % p
     r = 0
     pivots = []
-    nrows = A.shape[0]
+    nrows, ncols = A.shape
     for c in range(ncols):
         if r == nrows:
             break
@@ -125,10 +143,7 @@ def _rref_numpy(work, ncols: int, p: int):
             A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % p
         pivots.append(c)
         r += 1
-    return (
-        tuple(tuple(int(x) for x in A[i]) for i in range(r)),
-        tuple(pivots),
-    )
+    return A[:r], tuple(pivots)
 
 
 def rank(rows, p: int) -> int:
@@ -250,22 +265,6 @@ def is_invertible(A: Mat, p: int) -> bool:
 
 
 # -- point enumeration -------------------------------------------------------
-
-def vector_index(v: Vec, p: int) -> int:
-    """Index of a vector in the 0 .. p^n - 1 enumeration (little-endian)."""
-    idx = 0
-    for x in reversed(v):
-        idx = idx * p + (x % p)
-    return idx
-
-
-def index_vector(idx: int, n: int, p: int) -> Vec:
-    out = []
-    for _ in range(n):
-        out.append(idx % p)
-        idx //= p
-    return tuple(out)
-
 
 def span_point_bits(basis: Mat, n: int, p: int) -> int:
     """Bitset (python int) of the point indices of the span of `basis`.

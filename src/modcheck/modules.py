@@ -13,7 +13,6 @@ canonical: two submodules are equal iff their bases are equal tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from .algebra import Algebra
 from .errors import AlgebraMismatch, ShapeMismatch
@@ -138,8 +137,16 @@ class Submodule:
         return (self.dim, self.basis)
 
     def as_module(self) -> RepModule:
-        """The submodule as a module in its own right (basis coordinates)."""
-        return _restricted_module(self.parent, self.basis)
+        """The submodule as a module in its own right (basis coordinates).
+
+        Built once per instance and kept on it, outside the dataclass
+        fields, so equality and hashing are unaffected.
+        """
+        module = self.__dict__.get("_as_module")
+        if module is None:
+            module = _restricted_module(self.parent, self.basis)
+            object.__setattr__(self, "_as_module", module)
+        return module
 
     def embedding(self) -> "ModuleHom":
         """Inclusion into the parent, from intrinsic coordinates."""
@@ -149,7 +156,6 @@ class Submodule:
         return f"Submodule(dim={self.dim} of {self.parent.dim})"
 
 
-@lru_cache(maxsize=None)
 def _restricted_module(parent: RepModule, basis: Mat) -> RepModule:
     p = parent.field.p
     _, pivots = rref(basis, p) if basis else ((), ())

@@ -2,10 +2,15 @@
 
 Every predicate here is decided by scanning the exhaustive submodule
 lattice, so the verdicts are proofs by inspection rather than heuristics.
-The definitional scans (is_small, is_essential) have closed-form fast
-paths (radical containment, socle containment) that hold at finite
-length; the test suite asserts agreement on the whole corpus rather than
-trusting either side alone.
+The scans take the lattice, which callers build once with their caps; the
+predicates that take a module are thin wrappers over lattice_of(M).
+
+Smallness has a closed form at finite length (containment in the radical)
+and so has essentiality (containment of the socle); the scans never use
+them, and the acceptance suite checks the scans against both on the
+whole corpus.  Coessentiality is decided on M's own lattice through the
+correspondence theorem rather than on a literal quotient; the test suite
+checks it against the brute-force oracle on literal quotients.
 
 Convention for the zero module: hollow and uniform raise ZeroModule
 (both notions presuppose a nonzero module), while lifting and extending
@@ -15,13 +20,13 @@ verdict so reports stay total.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .endring import endomorphism_ring, is_local
 from .errors import ShapeMismatch, TooLarge, ZeroModule
-from .lattice import DEFAULT_CAP_DIM, DEFAULT_CAP_POINTS, SubmoduleLattice, enumerate_submodules
-from .modules import RepModule, Submodule, make_submodule, quotient_module
+from .lattice import DEFAULT_CAP_DIM, SubmoduleLattice, lattice_of
+from .modules import RepModule, Submodule
+from .summands import fiep_scan
 
 PROPERTY_NAMES = (
     "small",
@@ -37,51 +42,24 @@ PROPERTY_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
-def lattice_of(
-    M: RepModule,
-    cap_dim: int = DEFAULT_CAP_DIM,
-    cap_points: int = DEFAULT_CAP_POINTS,
-) -> SubmoduleLattice:
-    """Memoized lattice: property scans over one module share the work."""
-    return enumerate_submodules(M, cap_dim=cap_dim, cap_points=cap_points)
-
-
 def radical(M: RepModule) -> Submodule:
     """Intersection of the maximal submodules (M itself if there are none)."""
     lat = lattice_of(M)
-    return lat.members[radical_index(lat)]
+    return lat.members[lat.radical_index()]
 
 
 def socle(M: RepModule) -> Submodule:
     """Sum of the minimal submodules (zero if there are none)."""
     lat = lattice_of(M)
-    return lat.members[socle_index(lat)]
+    return lat.members[lat.socle_index()]
 
 
 def radical_index(lat: SubmoduleLattice) -> int:
-    maxs = lat.maximal_indices()
-    if not maxs:
-        return lat.full_index
-    b = lat.bits[maxs[0]]
-    for m in maxs[1:]:
-        b &= lat.bits[m]
-    return lat._index_by_bits[b]
+    return lat.radical_index()
 
 
 def socle_index(lat: SubmoduleLattice) -> int:
-    atoms = lat.atom_indices()
-    if not atoms:
-        return lat.zero_index
-    union = 0
-    for a in atoms:
-        union |= lat.bits[a]
-    # the join is the smallest member whose point set contains the union
-    best = lat.full_index
-    for k in range(len(lat.members)):
-        if union & ~lat.bits[k] == 0 and lat.members[k].dim < lat.members[best].dim:
-            best = k
-    return best
+    return lat.socle_index()
 
 
 # -- small / essential / coessential ------------------------------------------
@@ -92,92 +70,65 @@ def _member_index(lat: SubmoduleLattice, N: Submodule) -> int:
     return lat.index_of(N)
 
 
-def is_small(N: Submodule, M: RepModule) -> bool:
-    """N + X != M for every proper submodule X, by scanning all X.
+def _small_over(lat: SubmoduleLattice, k: int, n: int) -> bool:
+    """Is N/K small in M/K, for members K = k <= N = n?
 
-    The scan runs top-down so a non-small N fails on an early (large) X.
+    By the correspondence theorem the submodules of M/K are the members
+    Y >= K, so the test is N + Y != M for every proper member Y >= K.
+    K = 0 gives plain smallness.  The scan runs top-down so a failure
+    shows up on an early (large) Y.
     """
-    lat = lattice_of(M)
-    i = _member_index(lat, N)
-    for x in reversed(lat.proper_indices()):
-        if not lat.sum_is_proper(i, x):
-            return False
-    return True
+    return all(
+        lat.sum_is_proper(n, y) for y in reversed(lat.proper_indices()) if lat.leq(k, y)
+    )
 
 
-def is_small_fast(N: Submodule, M: RepModule) -> bool:
-    """Radical-containment fast path; must agree with is_small at finite length."""
+def _essential_index(lat: SubmoduleLattice, i: int) -> bool:
+    """Member i meets every nonzero member nontrivially."""
+    return all(lat.bits[i] & lat.bits[y] != 1 for y in range(1, len(lat.members)))
+
+
+def is_small(N: Submodule, M: RepModule) -> bool:
+    """N + X != M for every proper submodule X, by scanning all X."""
     lat = lattice_of(M)
-    return lat.leq(_member_index(lat, N), radical_index(lat))
+    return _small_over(lat, lat.zero_index, _member_index(lat, N))
 
 
 def is_essential(N: Submodule, M: RepModule) -> bool:
     """N meets every nonzero submodule nontrivially, by scanning all of them."""
     lat = lattice_of(M)
-    i = _member_index(lat, N)
-    for y in range(1, len(lat.members)):
-        if lat.bits[i] & lat.bits[y] == 1:  # only the zero vector in common
-            return False
-    return True
-
-
-def is_essential_fast(N: Submodule, M: RepModule) -> bool:
-    """Socle-containment fast path; must agree with is_essential."""
-    lat = lattice_of(M)
-    return lat.leq(socle_index(lat), _member_index(lat, N))
-
-
-@lru_cache(maxsize=None)
-def _quotient_context(M: RepModule, K_basis: tuple):
-    """Quotient module, projection and quotient lattice for M/K, shared."""
-    K = Submodule(M, K_basis)
-    Q, pi = quotient_module(M, K)
-    return Q, pi, lattice_of(Q)
+    return _essential_index(lat, _member_index(lat, N))
 
 
 def is_coessential(K: Submodule, N: Submodule, M: RepModule) -> bool:
     """K is coessential in N (within M): N/K is small in M/K.
 
-    Requires K <= N <= M; decided literally on the quotient M/K.
+    Requires K <= N <= M; decided on the lattice of M (see _small_over).
     """
     if K.parent != M or N.parent != M:
         raise ShapeMismatch("submodules belong to a different module")
     if not N.contains_submodule(K):
         raise ShapeMismatch("coessential test needs K contained in N")
-    Q, pi, latQ = _quotient_context(M, K.basis)
-    img = make_submodule(Q, tuple(pi.apply(b) for b in N.basis))
-    i = latQ.index_of(img)
-    for x in reversed(latQ.proper_indices()):
-        if not latQ.sum_is_proper(i, x):
-            return False
-    return True
+    lat = lattice_of(M)
+    return _small_over(lat, lat.index_of(K), lat.index_of(N))
 
 
 # -- module-level predicates ---------------------------------------------------
 
-def _small_index(lat: SubmoduleLattice, i: int) -> bool:
-    for x in reversed(lat.proper_indices()):
-        if not lat.sum_is_proper(i, x):
-            return False
-    return True
-
-
-def is_hollow(M: RepModule) -> bool:
+def hollow_scan(lat: SubmoduleLattice) -> bool:
     """Nonzero, and every proper submodule is small."""
-    if M.dim == 0:
+    if lat.module.dim == 0:
         raise ZeroModule("hollow is undefined for the zero module")
-    lat = lattice_of(M)
-    return all(_small_index(lat, i) for i in lat.proper_indices())
+    return all(_small_over(lat, lat.zero_index, i) for i in lat.proper_indices())
 
 
-def is_uniform(M: RepModule) -> bool:
+def uniform_scan(lat: SubmoduleLattice) -> bool:
     """Nonzero, and every nonzero submodule is essential.
 
     Equivalent scan: no two nonzero submodules intersect in zero.
     """
-    if M.dim == 0:
+    if lat.module.dim == 0:
         raise ZeroModule("uniform is undefined for the zero module")
-    lat = lattice_of(M)
     n = len(lat.members)
     for i in range(1, n):
         for j in range(i + 1, n):
@@ -186,9 +137,8 @@ def is_uniform(M: RepModule) -> bool:
     return True
 
 
-def is_uniserial(M: RepModule) -> bool:
+def uniserial_scan(lat: SubmoduleLattice) -> bool:
     """Submodules totally ordered by inclusion."""
-    lat = lattice_of(M)
     n = len(lat.members)
     for i in range(n):
         for j in range(i + 1, n):
@@ -197,17 +147,32 @@ def is_uniserial(M: RepModule) -> bool:
     return True
 
 
-def is_indecomposable(M: RepModule) -> bool:
+def indecomposable_scan(lat: SubmoduleLattice) -> bool:
     """No pair of nonzero submodules with zero intersection spanning M."""
-    lat = lattice_of(M)
     n = len(lat.members)
-    full_dim = M.dim
+    full_dim = lat.module.dim
     for i in range(1, n):
         di = lat.members[i].dim
         for j in range(i, n):
             if di + lat.members[j].dim == full_dim and lat.bits[i] & lat.bits[j] == 1:
                 return False
     return True
+
+
+def is_hollow(M: RepModule) -> bool:
+    return hollow_scan(lattice_of(M))
+
+
+def is_uniform(M: RepModule) -> bool:
+    return uniform_scan(lattice_of(M))
+
+
+def is_uniserial(M: RepModule) -> bool:
+    return uniserial_scan(lattice_of(M))
+
+
+def is_indecomposable(M: RepModule) -> bool:
+    return indecomposable_scan(lattice_of(M))
 
 
 # -- lifting / extending --------------------------------------------------------
@@ -243,47 +208,36 @@ class CoverReport:
         }
 
 
-def is_lifting(M: RepModule) -> CoverReport:
+def lifting_scan(lat: SubmoduleLattice) -> CoverReport:
     """Every submodule N contains a direct summand coessential in it.
 
     For each lattice member N the scan tries the direct summands X <= N in
-    canonical order and asks is_coessential(X, N, M) on the literal
-    quotient M/X.  A miss for every X is a counterexample to lifting.
+    canonical order and asks whether N/X is small in M/X.  A miss for
+    every X is a counterexample to lifting.
     """
-    from .summands import summand_indices
-
-    lat = lattice_of(M)
-    summands = summand_indices(lat)
     witnesses = []
     for i, N in enumerate(lat.members):
-        found = None
-        for x in summands:
-            if not lat.leq(x, i):
-                continue
-            if is_coessential(lat.members[x], N, M):
-                found = x
-                break
+        found = next(
+            (x for x in lat.summand_indices() if lat.leq(x, i) and _small_over(lat, x, i)),
+            None,
+        )
         if found is None:
             return CoverReport("lifting", False, tuple(witnesses), i, N.basis)
         witnesses.append(found)
     return CoverReport("lifting", True, tuple(witnesses), None, None)
 
 
-def is_extending(M: RepModule) -> CoverReport:
+def extending_scan(lat: SubmoduleLattice) -> CoverReport:
     """Every submodule is essential in some direct summand.
 
     Essentiality of N in a candidate X is scanned inside the lattice:
     every nonzero member contained in X must meet N nontrivially.
     """
-    from .summands import summand_indices
-
-    lat = lattice_of(M)
-    summands = summand_indices(lat)
     n = len(lat.members)
     witnesses = []
     for i in range(n):
         found = None
-        for x in summands:
+        for x in lat.summand_indices():
             if not lat.leq(i, x):
                 continue
             ok = True
@@ -298,6 +252,14 @@ def is_extending(M: RepModule) -> CoverReport:
             return CoverReport("extending", False, tuple(witnesses), i, lat.members[i].basis)
         witnesses.append(found)
     return CoverReport("extending", True, tuple(witnesses), None, None)
+
+
+def is_lifting(M: RepModule) -> CoverReport:
+    return lifting_scan(lattice_of(M))
+
+
+def is_extending(M: RepModule) -> CoverReport:
+    return extending_scan(lattice_of(M))
 
 
 # -- aggregate report ------------------------------------------------------------
@@ -347,9 +309,6 @@ def property_report(
     n_max: int = 3,
     seed: int = 1789,
 ) -> PropertyReport:
-    from .endring import endomorphism_ring, is_local
-    from .summands import has_fiep
-
     verdicts: dict = {}
     witnesses: dict = {}
     errors: dict = {}
@@ -367,33 +326,31 @@ def property_report(
         "fiep",
     )
     try:
-        lattice_of(M, cap_dim=cap_dim)
-        have_lattice = True
+        lat = lattice_of(M, cap_dim=cap_dim)
     except TooLarge as exc:
-        have_lattice = False
+        lat = None
         for name in lattice_props:
             errors[name] = {"error": "TooLarge", "detail": str(exc)}
 
-    if have_lattice:
-        rad = radical(M)
-        soc = socle(M)
-        verdicts["small"] = is_small(rad, M)
-        witnesses["small"] = {"submodule": [list(r) for r in rad.basis], "role": "radical"}
-        verdicts["essential"] = is_essential(soc, M)
-        witnesses["essential"] = {"submodule": [list(r) for r in soc.basis], "role": "socle"}
-        for name, fn in (("hollow", is_hollow), ("uniform", is_uniform)):
+    if lat is not None:
+        rad, soc = lat.radical_index(), lat.socle_index()
+        verdicts["small"] = _small_over(lat, lat.zero_index, rad)
+        verdicts["essential"] = _essential_index(lat, soc)
+        for name, i, role in (("small", rad, "radical"), ("essential", soc, "socle")):
+            witnesses[name] = {"submodule": [list(r) for r in lat.members[i].basis], "role": role}
+        for name, scan in (("hollow", hollow_scan), ("uniform", uniform_scan)):
             try:
-                verdicts[name] = fn(M)
+                verdicts[name] = scan(lat)
             except ZeroModule:
                 verdicts[name] = False
                 witnesses[name] = {"note": "zero module"}
-        verdicts["uniserial"] = is_uniserial(M)
-        verdicts["indecomposable"] = is_indecomposable(M)
-        for name, fn in (("lifting", is_lifting), ("extending", is_extending)):
-            rep = fn(M)
+        verdicts["uniserial"] = uniserial_scan(lat)
+        verdicts["indecomposable"] = indecomposable_scan(lat)
+        for name, scan in (("lifting", lifting_scan), ("extending", extending_scan)):
+            rep = scan(lat)
             verdicts[name] = rep.verdict
             witnesses[name] = rep.to_json()
-        fiep = has_fiep(M, n_max=n_max, seed=seed)
+        fiep = fiep_scan(lat, n_max=n_max, seed=seed)
         verdicts["fiep"] = fiep.verdict
         witnesses["fiep"] = fiep.to_json()
 
@@ -405,7 +362,3 @@ def property_report(
         errors["end_local"] = {"error": "TooLarge", "detail": str(exc)}
 
     return PropertyReport(subject, verdicts, witnesses, errors)
-
-
-def report_to_json_text(report: PropertyReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ShapeMismatch
-from .lattice import SubmoduleLattice
+from .lattice import SubmoduleLattice, lattice_of
 from .linalg import rank
 from .modules import RepModule, Submodule
 
@@ -51,43 +51,25 @@ class Decomposition:
 
 def summand_indices(lat: SubmoduleLattice) -> tuple:
     """Indices of all direct summands, ascending canonical order."""
-    out = []
-    for i in range(len(lat.members)):
-        if _complement_index(lat, i) is not None:
-            out.append(i)
-    return tuple(out)
-
-
-def _complement_index(lat: SubmoduleLattice, i: int) -> int | None:
-    want = lat.module.dim - lat.members[i].dim
-    for j in range(len(lat.members)):
-        if lat.members[j].dim == want and lat.bits[i] & lat.bits[j] == 1:
-            return j
-    return None
+    return lat.summand_indices()
 
 
 def is_direct_summand(X: Submodule, M: RepModule):
     """First complement of X in canonical lattice order, or None."""
-    from .properties import lattice_of
-
     if X.parent != M:
         raise ShapeMismatch("submodule belongs to a different module")
     lat = lattice_of(M)
-    j = _complement_index(lat, lat.index_of(X))
+    j = lat.complement_index(lat.index_of(X))
     return lat.members[j] if j is not None else None
 
 
 def all_summands(M: RepModule) -> tuple:
-    from .properties import lattice_of
-
     lat = lattice_of(M)
-    return tuple(lat.members[i] for i in summand_indices(lat))
+    return tuple(lat.members[i] for i in lat.summand_indices())
 
 
 def all_decompositions(M: RepModule, n: int) -> tuple:
     """All ordered internal direct sums of M into n nonzero parts."""
-    from .properties import lattice_of
-
     lat = lattice_of(M)
     return tuple(
         Decomposition(M, tuple(lat.members[i] for i in idxs))
@@ -99,7 +81,7 @@ def _decomposition_index_tuples(lat: SubmoduleLattice, n: int) -> tuple:
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
-    candidates = [i for i in summand_indices(lat) if lat.members[i].dim > 0]
+    candidates = [i for i in lat.summand_indices() if lat.members[i].dim > 0]
     dims = [m.dim for m in lat.members]
     out = []
     for idxs in product(candidates, repeat=n):
@@ -169,16 +151,21 @@ def has_fiep(
     seed: int = 1789,
     sample_cap: int = DECOMP_SAMPLE_CAP,
 ) -> FiepReport:
+    return fiep_scan(lattice_of(M), n_max=n_max, seed=seed, sample_cap=sample_cap)
+
+
+def fiep_scan(
+    lat: SubmoduleLattice,
+    n_max: int = 3,
+    seed: int = 1789,
+    sample_cap: int = DECOMP_SAMPLE_CAP,
+) -> FiepReport:
     """Scan the finite internal exchange property up to n_max parts.
 
     Decomposition families are exhaustive for n ≤ 2; at n = 3 the family
     is subsampled deterministically when it exceeds sample_cap, and the
     report says so.
     """
-    from .properties import lattice_of
-
-    lat = lattice_of(M)
-    summands = summand_indices(lat)
     decomp_families = []
     sampled = False
     for n in range(1, n_max + 1):
@@ -201,7 +188,7 @@ def has_fiep(
     witnesses = []
     pairs = 0
     dims = [m.dim for m in lat.members]
-    for x in summands:
+    for x in lat.summand_indices():
         for family in decomp_families:
             for decomp in family:
                 pairs += 1
@@ -215,24 +202,14 @@ def has_fiep(
 
 
 def _exchange_choice(
-    lat: SubmoduleLattice,
-    x: int,
-    decomp: tuple,
-    below: dict | None = None,
-    dims: list | None = None,
+    lat: SubmoduleLattice, x: int, decomp: tuple, below: dict, dims: list
 ) -> tuple | None:
-    """First tuple (M_i') with M = X ⊕ (⊕ M_i'), in canonical index order."""
-    if dims is None:
-        dims = [m.dim for m in lat.members]
+    """First tuple (M_i') with M = X ⊕ (⊕ M_i'), in canonical index order.
+
+    ``below[part]`` lists the members contained in each part.
+    """
     need = lat.module.dim - dims[x]
-    if below is None:
-        below = {}
-    inside = []
-    for part in decomp:
-        if part not in below:
-            below[part] = [m for m in range(len(lat.members)) if lat.leq(m, part)]
-        inside.append(below[part])
-    for choice in product(*inside):
+    for choice in product(*(below[part] for part in decomp)):
         if sum(dims[m] for m in choice) != need:
             continue
         if _independent_join(lat, dims, x, choice) is not None:

@@ -27,9 +27,10 @@ from itertools import product
 
 from .errors import NotHollowUniform, TooLarge
 from .homs import hom_space
-from .linalg import inverse, left_kernel, mat_mul, rank, solve_row
-from .modules import RepModule
-from .properties import _quotient_context, is_hollow, is_uniform, lattice_of
+from .lattice import SubmoduleLattice, lattice_of
+from .linalg import inverse, left_kernel, lin_comb, mat_mul, rank, solve_row
+from .modules import RepModule, quotient_module
+from .properties import hollow_scan, uniform_scan
 
 DEFAULT_CAP_SWEEP = 1 << 20
 
@@ -82,23 +83,27 @@ class TheoremReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _require_hollow_uniform(U: RepModule) -> None:
-    if U.dim == 0 or not (is_hollow(U) and is_uniform(U)):
+def _require_hollow_uniform(lat: SubmoduleLattice) -> None:
+    if lat.module.dim == 0 or not (hollow_scan(lat) and uniform_scan(lat)):
         raise NotHollowUniform("the component module must be hollow and uniform")
+
+
+def _quotients(lat: SubmoduleLattice):
+    """Lookup k -> (U/K, projection matrix, basis of Hom(U, U/K)) for the
+    member K = k, each quotient built once per criterion call."""
+    table = {}
+
+    def quotient(k: int):
+        if k not in table:
+            Q, pi = quotient_module(lat.module, lat.members[k])
+            table[k] = (Q, pi.matrix, hom_space(lat.module, Q))
+        return table[k]
+
+    return quotient
 
 
 def _flatten(M) -> tuple:
     return tuple(x for row in M for x in row)
-
-
-def _lin_comb(mats, coeffs, rows, cols, p):
-    out = [[0] * cols for _ in range(rows)]
-    for c, B in zip(coeffs, mats):
-        if c:
-            for r in range(rows):
-                for s in range(cols):
-                    out[r][s] = (out[r][s] + c * B[r][s]) % p
-    return tuple(tuple(r) for r in out)
 
 
 def _affine_solutions(A_rows, b, p):
@@ -137,28 +142,27 @@ def square_lifting_criterion(
     """
     if variant not in ("b", "c"):
         raise ValueError("variant must be 'b' or 'c'")
-    _require_hollow_uniform(U)
+    lat = lattice_of(U)
+    _require_hollow_uniform(lat)
     p = U.field.p
     n = U.dim
-    lat = lattice_of(U)
+    quotient = _quotients(lat)
     end_basis = hom_space(U, U)
     outcomes = []
     verdict = True
-    for K in lat.members:
-        Q, pi, _latQ = _quotient_context(U, K.basis)
-        P = pi.matrix
-        fam = hom_space(U, Q)
+    for k, K in enumerate(lat.members):
+        Q, P, fam = quotient(k)
         if p ** len(fam) > cap_sweep:
             raise TooLarge("lifting sweep", p ** len(fam), cap_sweep)
         # branch (i) system: coefficients c with sum c_i (E_i P) = F
         A_i = tuple(_flatten(mat_mul(E, P, p)) for E in end_basis)
         for coeffs in product(range(p), repeat=len(fam)):
-            F = _lin_comb(fam, coeffs, n, Q.dim, p)
+            F = lin_comb(coeffs, fam, n, Q.dim, p)
             sol = solve_row(A_i, _flatten(F), p) if A_i else (
                 () if not any(_flatten(F)) else None
             )
             if sol is not None:
-                h = _lin_comb(end_basis, sol, n, n, p)
+                h = lin_comb(sol, end_basis, n, n, p)
                 outcomes.append(
                     TripleOutcome(K.basis, F, "i", {"h": [list(r) for r in h]})
                 )
@@ -166,7 +170,7 @@ def square_lifting_criterion(
             wit = (
                 _lifting_branch_b(lat, K, F, P, end_basis, p, n)
                 if variant == "b"
-                else _lifting_branch_c(lat, K, F, P, p, n)
+                else _lifting_branch_c(lat, quotient, K, F, P, p, n)
             )
             if wit is None:
                 verdict = False
@@ -189,7 +193,7 @@ def _lifting_branch_b(lat, K, F, P, end_basis, p, n):
             continue
         part, ker = sols
         for x in _iter_affine(part, ker, p):
-            H = _lin_comb(end_basis, x, n, n, p)
+            H = lin_comb(x, end_basis, n, n, p)
             if rank(H, p) == n:
                 return {
                     "N": [list(r) for r in N.basis],
@@ -198,7 +202,7 @@ def _lifting_branch_b(lat, K, F, P, end_basis, p, n):
     return None
 
 
-def _lifting_branch_c(lat, K, F, P, p, n):
+def _lifting_branch_c(lat, quotient, K, F, P, p, n):
     """Monomorphism h: U₁ → U₂/K' with g'h = f, K' ≤ Ker g = K."""
     k_idx = lat.index_of(K)
     for kp_idx in range(len(lat.members)):
@@ -207,21 +211,20 @@ def _lifting_branch_c(lat, K, F, P, p, n):
             continue
         if n - Kp.dim < n:
             continue  # U₂/K' too small to receive a monomorphism from U₁
-        Qp, pip, _ = _quotient_context(lat.module, Kp.basis)
+        Qp, Pp, fam = quotient(kp_idx)
         # g' : U₂/K' -> U₂/K with g'(pi'(u)) = pi(u); pi' is onto, so a
         # linear section S (S pi' = id) gives the matrix G = S P.
-        S = inverse(pip.matrix, p) if Qp.dim == n else None
+        S = inverse(Pp, p) if Qp.dim == n else None
         if S is None:
             continue
         G = mat_mul(S, P, p)
-        fam = hom_space(lat.module, Qp)
         A = tuple(_flatten(mat_mul(E, G, p)) for E in fam)
         sols = _affine_solutions(A, _flatten(F), p)
         if sols is None:
             continue
         part, ker = sols
         for x in _iter_affine(part, ker, p):
-            H = _lin_comb(fam, x, n, Qp.dim, p)
+            H = lin_comb(x, fam, n, Qp.dim, p)
             if rank(H, p) == n:
                 return {
                     "K_prime": [list(r) for r in Kp.basis],
@@ -246,10 +249,11 @@ def square_extending_criterion(
     """
     if variant not in ("b", "c"):
         raise ValueError("variant must be 'b' or 'c'")
-    _require_hollow_uniform(U)
+    lat = lattice_of(U)
+    _require_hollow_uniform(lat)
     p = U.field.p
     n = U.dim
-    lat = lattice_of(U)
+    quotient = _quotients(lat)
     end_basis = hom_space(U, U)
     outcomes = []
     verdict = True
@@ -261,17 +265,17 @@ def square_extending_criterion(
         B = X.basis
         A_i = tuple(_flatten(mat_mul(B, E, p)) for E in end_basis)
         for coeffs in product(range(p), repeat=len(fam)):
-            F = _lin_comb(fam, coeffs, X.dim, n, p)
+            F = lin_comb(coeffs, fam, X.dim, n, p)
             flatF = _flatten(F)
             sol = solve_row(A_i, flatF, p) if A_i else (() if not any(flatF) else None)
             if sol is not None:
-                h = _lin_comb(end_basis, sol, n, n, p)
+                h = lin_comb(sol, end_basis, n, n, p)
                 outcomes.append(
                     TripleOutcome(X.basis, F, "i", {"h": [list(r) for r in h]})
                 )
                 continue
             wit = (
-                _extending_branch_b(lat, X, F, p, n)
+                _extending_branch_b(lat, quotient, X, F, p, n)
                 if variant == "b"
                 else _extending_branch_c(lat, X, F, end_basis, p, n)
             )
@@ -283,21 +287,20 @@ def square_extending_criterion(
     return TheoremReport("extending", variant, verdict, tuple(outcomes))
 
 
-def _extending_branch_b(lat, X, F, p, n):
+def _extending_branch_b(lat, quotient, X, F, p, n):
     """Monomorphism h: U₂ → U₁/K with h∘f = π∘g, K over the lattice of U₁."""
-    for K in lat.members:
+    for k, K in enumerate(lat.members):
         if n - K.dim < n:
             continue  # U₁/K too small to receive a monomorphism from U₂
-        Q, pi, _ = _quotient_context(lat.module, K.basis)
-        fam = hom_space(lat.module, Q)
-        target = mat_mul(X.basis, pi.matrix, p)  # π∘g on X's basis
+        Q, P, fam = quotient(k)
+        target = mat_mul(X.basis, P, p)  # π∘g on X's basis
         A = tuple(_flatten(mat_mul(F, E, p)) for E in fam)
         sols = _affine_solutions(A, _flatten(target), p)
         if sols is None:
             continue
         part, ker = sols
         for x in _iter_affine(part, ker, p):
-            H = _lin_comb(fam, x, n, Q.dim, p)
+            H = lin_comb(x, fam, n, Q.dim, p)
             if rank(H, p) == n:
                 return {"K": [list(r) for r in K.basis], "h": [list(r) for r in H]}
     return None
@@ -319,7 +322,7 @@ def _extending_branch_c(lat, X, F, end_basis, p, n):
             continue
         part, ker = sols
         for x in _iter_affine(part, ker, p):
-            H = _lin_comb(end_basis, x, n, n, p)
+            H = lin_comb(x, end_basis, n, n, p)
             if rank(H, p) == n:
                 return {"N": [list(r) for r in N.basis], "h": [list(r) for r in H]}
     return None

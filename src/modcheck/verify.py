@@ -17,9 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
 
 from .corpus import corpus, hollow_uniform_fixtures
 from .errors import ModcheckError
@@ -33,18 +32,17 @@ from .exact import (
     z_extension_routes,
 )
 from .graphs import graph_complement, graph_laws
-from .homs import hom_from_coords, hom_space, restrict
+from .homs import enumerate_homs, restrict
+from .lattice import lattice_of
 from .modules import ModuleHom, direct_sum
 from .properties import (
-    is_extending,
-    is_hollow,
-    is_lifting,
-    is_uniform,
-    is_uniserial,
-    lattice_of,
-    radical,
+    extending_scan,
+    hollow_scan,
+    lifting_scan,
+    uniform_scan,
+    uniserial_scan,
 )
-from .summands import has_fiep, summand_indices
+from .summands import fiep_scan
 from .theorems import square_extending_criterion, square_lifting_criterion
 
 CLAIMS = {
@@ -257,9 +255,9 @@ def _checks_running_example(cfg: VerifyConfig, fixtures) -> list:
                     [list(r) for r in b] for b in bases
                 ),
                 "count": len(lat.members),
-                "hollow": is_hollow(fx.module),
-                "uniform": is_uniform(fx.module),
-                "uniserial": is_uniserial(fx.module),
+                "hollow": hollow_scan(lat),
+                "uniform": uniform_scan(lat),
+                "uniserial": uniserial_scan(lat),
             }
             ok = (
                 bases == EXAMPLE_SUBMODULE_BASES
@@ -284,12 +282,12 @@ def _checks_summand_closure(cfg: VerifyConfig, fixtures) -> list:
         def check(fx=fx):
             lat = lattice_of(fx.module, cap_dim=cfg.cap_dim)
             checked = 0
-            for i in summand_indices(lat):
+            for i in lat.summand_indices():
                 part = lat.members[i]
                 if part.dim == 0 or part.dim == fx.module.dim:
                     continue
-                piece = part.as_module()
-                if not (is_hollow(piece) and is_uniform(piece)):
+                piece = lattice_of(part.as_module(), cap_dim=cfg.cap_dim)
+                if not (hollow_scan(piece) and uniform_scan(piece)):
                     return False, {
                         "fixture": fx.name,
                         "summand_basis": [list(r) for r in part.basis],
@@ -311,13 +309,11 @@ def _checks_graph_laws(cfg: VerifyConfig, fixtures) -> list:
 
         def check(an=an, bn=bn):
             A, B = by_name[an].module, by_name[bn].module
-            p = A.algebra.field.p
             ds = direct_sum(A, B)
-            basis = hom_space(A, B)
             homs_checked = 0
-            rad = radical(A)
-            for coeffs in product(range(p), repeat=len(basis)):
-                h = hom_from_coords(A, B, basis, coeffs)
+            lat = lattice_of(A, cap_dim=cfg.cap_dim)
+            rad = lat.members[lat.radical_index()]
+            for h in enumerate_homs(A, B, cap=cfg.cap_hom):
                 for case in (h,) + (
                     (restrict(h, rad),) if 0 < rad.dim < A.dim else ()
                 ):
@@ -342,7 +338,7 @@ def _checks_graph_laws(cfg: VerifyConfig, fixtures) -> list:
 
 def _checks_square_criteria(cfg: VerifyConfig, fixtures, which: str) -> list:
     claim = CLAIMS[f"square-{which}"]
-    scan = is_lifting if which == "lifting" else is_extending
+    scan = lifting_scan if which == "lifting" else extending_scan
     criterion = (
         square_lifting_criterion if which == "lifting" else square_extending_criterion
     )
@@ -353,9 +349,9 @@ def _checks_square_criteria(cfg: VerifyConfig, fixtures, which: str) -> list:
 
         def check(fx=fx):
             square = direct_sum(fx.module, fx.module).module
-            definitional = scan(square).verdict
-            by_b = criterion(fx.module, "b").verdict
-            by_c = criterion(fx.module, "c").verdict
+            definitional = scan(lattice_of(square, cap_dim=cfg.cap_dim)).verdict
+            by_b = criterion(fx.module, "b", cap_sweep=cfg.cap_hom).verdict
+            by_c = criterion(fx.module, "c", cap_sweep=cfg.cap_hom).verdict
             witness = {
                 "fixture": fx.name,
                 "definitional": definitional,
@@ -374,8 +370,8 @@ def _checks_exchange(cfg: VerifyConfig, fixtures) -> list:
     for fx in fixtures:
 
         def check(fx=fx):
-            lattice_of(fx.module, cap_dim=cfg.cap_dim)  # honest cap behavior
-            rep = has_fiep(fx.module, n_max=cfg.n_max, seed=cfg.seed)
+            lat = lattice_of(fx.module, cap_dim=cfg.cap_dim)
+            rep = fiep_scan(lat, n_max=cfg.n_max, seed=cfg.seed)
             witness = {
                 "fixture": fx.name,
                 "pairs_checked": rep.pairs_checked,

@@ -143,6 +143,14 @@ def test_manifest_attaches_witnesses_only_on_failure():
         assert len(doc["witness_digest"]) == 64
 
 
+def test_cap_hom_reaches_the_graph_law_sweep():
+    manifest = verify_claims(VerifyConfig(cap_hom=2, only=("graph-laws",)))
+    refused = [c for c in manifest.checks if c.error and c.error.startswith("TooLarge")]
+    assert refused and not manifest.passed
+    # a hom space with at most cap_hom elements is still swept
+    assert any(c.passed for c in manifest.checks)
+
+
 def test_verify_claims_rejects_unknown_anchors():
     with pytest.raises(ValueError):
         verify_claims(VerifyConfig(only=("no-such-anchor",)))

@@ -1,12 +1,13 @@
 """JSON round trips, schema rejection paths, and the CLI exit-code contract."""
 
 import json
+import sys
 from importlib import resources
 
 import pytest
 
 from modcheck.cli import FIEP_WITNESS_LIMIT, main
-from modcheck.corpus import roundtrip_module
+from modcheck.corpus import roundtrip_module, truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import SchemaError
 from modcheck.io import (
     load_module,
@@ -108,6 +109,56 @@ def test_cli_cap_exceeded_exits_3(capsys):
         "--cap-hom", "1",
     )
     assert code == 3
+
+
+@pytest.fixture
+def chain9_path(tmp_path):
+    """A dimension-9 chain module: one past the default --cap-dim."""
+    path = tmp_path / "chain9.json"
+    save_module(truncated_poly_module(truncated_poly_algebra(2, 9), 9), str(path), name="chain9")
+    return str(path)
+
+
+def test_cli_cap_dim_reaches_every_report_scan(capsys, chain9_path):
+    code, out, err = run_cli(capsys, "report", chain9_path, "--cap-dim", "9")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["errors"] == {}
+    assert doc["verdicts"]["uniserial"] is True and doc["verdicts"]["lifting"] is True
+
+    # below the module's dimension the report records the refusal per property
+    code, out, _ = run_cli(capsys, "report", chain9_path, "--cap-dim", "8")
+    assert code == 0
+    errors = json.loads(out)["errors"]
+    assert errors["lifting"]["error"] == "TooLarge"
+    assert "exceeds cap 8" in errors["fiep"]["detail"]
+
+
+def test_cli_cap_dim_reaches_the_exchange_scan(capsys, chain9_path):
+    code, out, err = run_cli(capsys, "fiep", chain9_path, "--cap-dim", "9")
+    assert code == 0, err
+    assert json.loads(out)["verdict"] is True
+
+    code, _, err = run_cli(capsys, "fiep", chain9_path, "--cap-dim", "8")
+    assert code == 3 and "size 9 exceeds cap 8" in err
+
+
+def test_cli_lattice_into_a_closed_pipe_exits_cleanly(capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    saved = sys.stdout
+    sys.stdout = ClosedPipe()
+    try:
+        code = main(["lattice", fixture_path("chain_f2_k4_sq")])
+    finally:
+        sys.stdout = saved
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_usage_errors_exit_2(capsys, tmp_path):

@@ -1,11 +1,14 @@
 """Lattice enumeration against the point-set oracles, plus lattice laws."""
 
+from collections import OrderedDict
+
 import pytest
 from helpers import point_set
 
-from modcheck import oracles
+from modcheck import lattice, oracles
 from modcheck.errors import TooLarge
-from modcheck.properties import lattice_of
+from modcheck.properties import lattice_of, property_report
+from modcheck.verify import VerifyConfig, verify_claims
 
 
 def test_lattice_members_equal_brute_submodules_everywhere(base_fixtures):
@@ -65,3 +68,50 @@ def test_submodule_counts_for_squares_match_golden(fixtures_by_name):
     for name, count in known.items():
         lat = lattice_of(fixtures_by_name[name].module)
         assert len(lat.members) == count, name
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Record the module of every enumeration, on an empty lattice memo,
+    with the memo size seen at each one."""
+    calls, sizes = [], []
+    enumerate_submodules = lattice.enumerate_submodules
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        sizes.append(len(lattice._memo))
+        return enumerate_submodules(M, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "enumerate_submodules", counting)
+    monkeypatch.setattr(lattice, "_memo", OrderedDict())
+    return calls, sizes
+
+
+def test_each_module_is_enumerated_once(enumerations, fixtures_by_name):
+    calls, sizes = enumerations
+    property_report(fixtures_by_name["chain_f2_k3_sq"].module)
+    assert len(calls) == len(set(calls)) == 1
+
+    # exchange-property revisits the squares summand-closure enumerated
+    lattice._memo.clear()
+    calls.clear()
+    verify_claims(VerifyConfig(only=("summand-closure", "exchange-property")))
+    assert len(calls) == len(set(calls)) > 24
+    assert max(sizes + [len(lattice._memo)]) <= lattice.LATTICE_MEMO_SIZE
+
+
+def test_lattice_memo_is_bounded_and_caps_come_first(enumerations, monkeypatch, fixtures):
+    calls, sizes = enumerations
+    monkeypatch.setattr(lattice, "LATTICE_MEMO_SIZE", 3)
+    modules = [fx.module for fx in fixtures if not fx.name.endswith("_sq")][:6]
+    for M in modules:
+        lattice_of(M)
+    assert len(lattice._memo) == 3 and max(sizes) <= 3
+    assert list(lattice._memo) == modules[-3:]  # least recently used dropped first
+
+    lattice_of(modules[-1])  # a hit
+    lattice_of(modules[0])  # dropped earlier, so enumerated again
+    assert calls == modules + [modules[0]]
+
+    with pytest.raises(TooLarge):  # memoized, yet still refused under a smaller cap
+        lattice_of(modules[0], cap_dim=modules[0].dim - 1)

@@ -10,8 +10,9 @@ import pytest
 from modcheck import oracles
 from modcheck.errors import ZeroModule
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
-from modcheck.modules import row_module
+from modcheck.modules import make_submodule, quotient_module, row_module
 from modcheck.properties import (
+    is_coessential,
     is_essential,
     is_extending,
     is_hollow,
@@ -41,6 +42,41 @@ def test_small_and_essential_agree_with_sumset_oracle_on_all_pairs(base_fixtures
             assert is_essential(member, M) == oracles.brute_is_essential(
                 M, pts, subs
             ), (fx.name, member.basis)
+
+
+def test_coessential_agrees_with_smallness_in_the_literal_quotient(fixtures):
+    """The correspondence route against the literal quotient M/X.
+
+    For every summand X <= N of every corpus module with at most 120
+    submodules, is_coessential(X, N, M) must equal the smallness of N/X in
+    the quotient module built by quotient_module: by the definitional scan
+    on the quotient's own lattice, and by the sumset oracle wherever the
+    quotient has at most 729 points (all pairs but the 74 of tri4_f3_sq
+    with X = 0, whose quotient has 6561).
+    """
+    pairs = brute = 0
+    for fx in fixtures:
+        M = fx.module
+        lat = lattice_of(M)
+        if len(lat.members) > 120:
+            continue
+        for x in lat.summand_indices():
+            X = lat.members[x]
+            Q, pi = quotient_module(M, X)
+            use_brute = Q.field.p**Q.dim <= 729
+            if use_brute:
+                subs = tuple(point_set(m, Q) for m in lattice_of(Q).members)
+            for N in lat.members:
+                if not N.contains_submodule(X):
+                    continue
+                image = make_submodule(Q, [pi.apply(b) for b in N.basis])
+                literal = is_small(image, Q)
+                if use_brute:
+                    assert literal == oracles.brute_is_small(Q, point_set(image, Q), subs)
+                    brute += 1
+                assert is_coessential(X, N, M) == literal, (fx.name, X.basis, N.basis)
+                pairs += 1
+    assert (pairs, brute) == (905, 831)
 
 
 def test_radical_is_largest_small_and_socle_smallest_essential(base_fixtures):
