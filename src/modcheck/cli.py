@@ -80,10 +80,9 @@ def cmd_lattice(args) -> int:
 def cmd_fiep(args) -> int:
     lat = lattice_of(_load(args.module), cap_dim=args.cap_dim)
     report = fiep_scan(lat, n_max=args.n_max, seed=args.seed)
-    doc = report.to_json()
+    doc = report.to_json(witness_limit=FIEP_WITNESS_LIMIT)
     doc["schema_version"] = 1
-    if len(doc["witnesses"]) > FIEP_WITNESS_LIMIT:
-        doc["witnesses"] = doc["witnesses"][:FIEP_WITNESS_LIMIT]
+    if len(report.witnesses) > FIEP_WITNESS_LIMIT:
         doc["witnesses_truncated_to"] = FIEP_WITNESS_LIMIT
     _emit(doc, args)
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED

@@ -8,6 +8,9 @@ locality from pairwise sums of non-units with invertibility decided by
 an exact integer determinant.  They exist to pin golden values and to
 back the agreement tests; they are only expected to be fast on the
 small corpus instances (dims ≤ 4, p ∈ {2, 3}).
+
+The exchange oracles are the literal scans the engine's memoized search
+replaces: every tuple of a product, filtered afterwards.
 """
 
 from __future__ import annotations
@@ -195,3 +198,45 @@ def brute_is_local(matrices, p: int, dim: int) -> bool:
             if brute_is_invertible(s, p):
                 return False
     return True
+
+
+def _direct_join(lat, dims: list, start: int, rest) -> int | None:
+    """Fold joins over ``rest``; None as soon as dimensions stop adding up."""
+    acc = start
+    acc_dim = dims[start]
+    for i in rest:
+        acc = lat.join(acc, i)
+        acc_dim += dims[i]
+        if dims[acc] != acc_dim:
+            return None
+    return acc
+
+
+def brute_decompositions(lat, n: int) -> tuple:
+    """Ordered n-part internal direct sums of the lattice's module, as index
+    tuples: every n-tuple of nonzero summands, kept when its dimensions add
+    up to the module's and its running joins are direct."""
+    dim = lat.module.dim
+    if n == 1:
+        return ((lat.full_index,),) if dim > 0 else ()
+    dims = [m.dim for m in lat.members]
+    candidates = [i for i in lat.summand_indices() if dims[i] > 0]
+    return tuple(
+        idxs
+        for idxs in product(candidates, repeat=n)
+        if sum(dims[i] for i in idxs) == dim
+        and _direct_join(lat, dims, idxs[0], idxs[1:]) is not None
+    )
+
+
+def brute_exchange_choice(lat, x: int, decomp: tuple) -> tuple | None:
+    """First tuple (M_i' ≤ M_i) in product order with M = X ⊕ (⊕ M_i'), or None."""
+    dims = [m.dim for m in lat.members]
+    need = lat.module.dim - dims[x]
+    below = [[m for m in range(len(lat.members)) if lat.leq(m, part)] for part in decomp]
+    for choice in product(*below):
+        if sum(dims[m] for m in choice) != need:
+            continue
+        if _direct_join(lat, dims, x, choice) is not None:
+            return choice
+    return None

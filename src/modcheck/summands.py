@@ -4,21 +4,25 @@ internal exchange property.
 A member X of the lattice is a direct summand when some member Y has
 X ∩ Y = 0 and X + Y = M; over a field both conditions reduce to one
 dimension count plus one intersection bitset test.  Decompositions are
-ordered tuples of nonzero parts whose stacked bases have full rank.
+ordered tuples of nonzero parts whose stacked bases have full rank; they
+are enumerated by a depth-first walk that drops a prefix as soon as its
+sum stops being direct or its dimension overshoots.
 
-has_fiep is an exhaustive scan: for every summand X and every
-decomposition M = ⊕ M_i it searches submodules M_i' ≤ M_i making
-M = X ⊕ (⊕ M_i').  On finite-length modules this must come back true
-(exchange follows from local endomorphism rings of the indecomposable
-pieces), so a false verdict here flags an implementation bug, not a
-mathematical discovery.
+fiep_scan is an exhaustive scan: for every summand X and every
+decomposition M = ⊕ M_i it finds submodules M_i' ≤ M_i making
+M = X ⊕ (⊕ M_i').  The witness is the first such tuple in product order,
+found by a depth-first search over running direct sums that is memoized
+on (running sum, parts left) within one scan; it is the tuple the literal
+product scan (oracles.brute_exchange_choice) returns.  On finite-length
+modules the scan must come back true (exchange follows from local
+endomorphism rings of the indecomposable pieces), so a false verdict here
+flags an implementation bug, not a mathematical discovery.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ShapeMismatch
 from .lattice import SubmoduleLattice, lattice_of
@@ -78,35 +82,38 @@ def all_decompositions(M: RepModule, n: int) -> tuple:
 
 
 def _decomposition_index_tuples(lat: SubmoduleLattice, n: int) -> tuple:
+    """Ordered n-part decompositions as index tuples, in lexicographic order.
+
+    A depth-first walk over the nonzero summands extends a prefix only
+    while its join stays direct (dim(A + B) = dim A + dim B exactly when
+    the sum is direct) and its dimension leaves room for the parts still
+    to come, so it yields the tuples of product(candidates, repeat=n)
+    that pass both tests, in the same order, without visiting the rest.
+    """
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
+    # members are sorted by dimension, so candidates are too
     candidates = [i for i in lat.summand_indices() if lat.members[i].dim > 0]
     dims = [m.dim for m in lat.members]
     out = []
-    for idxs in product(candidates, repeat=n):
-        if sum(dims[i] for i in idxs) != dim:
-            continue
-        if _independent_join(lat, dims, idxs[0], idxs[1:]) is not None:
-            out.append(idxs)
+
+    def extend(prefix: tuple, acc: int, acc_dim: int) -> None:
+        left = n - len(prefix) - 1  # parts still to place after this one
+        for i in candidates:
+            d = acc_dim + dims[i]
+            if d + left > dim:
+                break
+            j = lat.join(acc, i)
+            if dims[j] != d:
+                continue
+            if left:
+                extend(prefix + (i,), j, d)
+            elif d == dim:
+                out.append(prefix + (i,))
+
+    extend((), lat.zero_index, 0)
     return tuple(out)
-
-
-def _independent_join(lat: SubmoduleLattice, dims: list, start: int, rest) -> int | None:
-    """Fold joins over ``rest``; None as soon as dimensions stop adding up.
-
-    dim(A + B) = dim A + dim B exactly when the sum is direct, so the
-    telescoped joins certify an internal direct sum without any rank
-    computation (joins are memoized on the lattice).
-    """
-    acc = start
-    acc_dim = dims[start]
-    for i in rest:
-        acc = lat.join(acc, i)
-        acc_dim += dims[i]
-        if dims[acc] != acc_dim:
-            return None
-    return acc
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,9 @@ class FiepReport:
     def __bool__(self):
         return self.verdict
 
-    def to_json(self) -> dict:
+    def to_json(self, witness_limit: int | None = None) -> dict:
+        """The report as JSON data; with ``witness_limit``, only the first
+        that many witnesses are serialized."""
         return {
             "verdict": self.verdict,
             "n_max": self.n_max,
@@ -139,7 +148,7 @@ class FiepReport:
             "seed": self.seed,
             "witnesses": [
                 {"summand": s, "decomposition": list(d), "choice": list(c)}
-                for (s, d, c) in self.witnesses
+                for (s, d, c) in self.witnesses[:witness_limit]
             ],
             "failure": list(self.failure) if self.failure else None,
         }
@@ -165,6 +174,17 @@ def fiep_scan(
     Decomposition families are exhaustive for n ≤ 2; at n = 3 the family
     is subsampled deterministically when it exceeds sample_cap, and the
     report says so.
+
+    Every (summand X, decomposition M = ⊕ M_i) pair is checked, and its
+    witness is the first tuple (M_i') in product order over the members
+    below each M_i with M = X ⊕ (⊕ M_i').  A tuple qualifies exactly when
+    each running sum X + M_1' + … + M_k' is direct and the last one is M,
+    so a depth-first search that extends the running sum J by one M_i' at
+    a time, skipping any M_i' that meets J, returns that same first
+    tuple.  What remains to be found depends only on J and the parts still
+    to fill, so the search below the top level is memoized on that pair
+    and shared by every pair of the scan.  The tables live for this call
+    only.
     """
     decomp_families = []
     sampled = False
@@ -176,42 +196,48 @@ def fiep_scan(
             sampled = True
         decomp_families.append(family)
 
-    below = {}
-    for family in decomp_families:
-        for decomp in family:
-            for part in decomp:
-                if part not in below:
-                    below[part] = [
-                        m for m in range(len(lat.members)) if lat.leq(m, part)
-                    ]
+    bits = lat.bits
+    full = lat.full_index
+    below = {}  # part -> members contained in it, ascending
+    steps = {}  # (J, part) -> ((m, J + m) for m ≤ part with J ∩ m = 0)
+    memo = {}  # (J, parts) -> first choice completing J over parts, or None
+    interned = {}  # equal choice tuples share one object
+    unseen = object()
+
+    def extensions(J: int, part: int) -> tuple:
+        key = (J, part)
+        out = steps.get(key)
+        if out is None:
+            if part not in below:
+                below[part] = [m for m in range(len(lat.members)) if lat.leq(m, part)]
+            out = steps[key] = tuple(
+                (m, lat.join(J, m)) for m in below[part] if bits[J] & bits[m] == 1
+            )
+        return out
+
+    def first(J: int, parts: tuple):
+        rest = parts[1:]
+        for m, Jm in extensions(J, parts[0]):
+            if rest:
+                tail = memo.get((Jm, rest), unseen)
+                if tail is unseen:
+                    tail = memo[(Jm, rest)] = first(Jm, rest)
+            else:
+                tail = () if Jm == full else None
+            if tail is not None:
+                return (m,) + tail
+        return None
 
     witnesses = []
     pairs = 0
-    dims = [m.dim for m in lat.members]
     for x in lat.summand_indices():
         for family in decomp_families:
             for decomp in family:
                 pairs += 1
-                choice = _exchange_choice(lat, x, decomp, below, dims)
+                choice = first(x, decomp)
                 if choice is None:
                     return FiepReport(
                         False, n_max, pairs, tuple(witnesses), sampled, seed, (x, decomp)
                     )
-                witnesses.append((x, decomp, choice))
+                witnesses.append((x, decomp, interned.setdefault(choice, choice)))
     return FiepReport(True, n_max, pairs, tuple(witnesses), sampled, seed, None)
-
-
-def _exchange_choice(
-    lat: SubmoduleLattice, x: int, decomp: tuple, below: dict, dims: list
-) -> tuple | None:
-    """First tuple (M_i') with M = X ⊕ (⊕ M_i'), in canonical index order.
-
-    ``below[part]`` lists the members contained in each part.
-    """
-    need = lat.module.dim - dims[x]
-    for choice in product(*(below[part] for part in decomp)):
-        if sum(dims[m] for m in choice) != need:
-            continue
-        if _independent_join(lat, dims, x, choice) is not None:
-            return choice
-    return None

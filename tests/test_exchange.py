@@ -1,0 +1,162 @@
+"""The memoized exchange scan against the literal product scans in oracles."""
+
+import random
+
+import pytest
+
+from modcheck.lattice import lattice_of
+from modcheck.oracles import brute_decompositions, brute_exchange_choice
+from modcheck.summands import (
+    DECOMP_SAMPLE_CAP,
+    FiepReport,
+    _decomposition_index_tuples,
+    fiep_scan,
+)
+from modcheck.verify import VerifyConfig, verify_claims
+
+# witness_digest of each exchange-property check under the default
+# VerifyConfig, frozen from the literal product scan.  The digest covers
+# pairs_checked, the witness count and the sampled flag, so a scan that
+# checks fewer pairs (orbit reduction, say) must change this table on
+# purpose.
+EXCHANGE_DIGESTS = {
+    "exchange-property/chain_f2_k1": (
+        "00e5f0c9f17eee7e8e5c4f4029fb7aac1a28cfa93f77048b8f2f6963691401cc"
+    ),
+    "exchange-property/chain_f2_k1_sq": (
+        "1556584ef21fb8fbe81304dbd22e1eb6a477ef093070c7d8e4a6e395a1b6ff75"
+    ),
+    "exchange-property/chain_f2_k2": (
+        "a15c23183b1ceee42376131e53feae5fff4698bb40ce2e4c9af8118a86beab8d"
+    ),
+    "exchange-property/chain_f2_k2_sq": (
+        "07d065da5ce776c21b2583021e5082106695cf1bb1ff3614e617f89ac192d069"
+    ),
+    "exchange-property/chain_f2_k3": (
+        "5bd4e978d98bed8e666a0635a54795b9d9f29e1a7ba66452e9c16eb79b65c677"
+    ),
+    "exchange-property/chain_f2_k3_sq": (
+        "17aebf1f579623dfa64d6d3582f072a6f16b07573e69048d3d7caec9e105cfb8"
+    ),
+    "exchange-property/chain_f2_k4": (
+        "c44d7847b5b69a5622f9cda38e0fc9b1d7140efa3e679588eb8765c62b23b86b"
+    ),
+    "exchange-property/chain_f2_k4_sq": (
+        "76a3c844d33be905da953c4098c59c1c77e37eb5073df0470d4b89e5c01aef12"
+    ),
+    "exchange-property/chain_f3_k1": (
+        "35dc61209698063aa624ea7edfc6baae7a9369b4162da5463329260a43c080dc"
+    ),
+    "exchange-property/chain_f3_k1_sq": (
+        "6223774fa717759bc8b5ac7f9618f2418f6ba4c1f28eb73f766996e3988509b6"
+    ),
+    "exchange-property/chain_f3_k2": (
+        "dd48718e6d7ed6c0889db0a88e252df884e115d2c4df35a9b7d877c1d3b5a0bb"
+    ),
+    "exchange-property/chain_f3_k2_sq": (
+        "40f54b08eab2b2de93bf4e6bcc999c550acd080619d69b2666fca088e60e93a6"
+    ),
+    "exchange-property/chain_f3_k3": (
+        "dbfbb1a1e7ba388122a0ee1e397d0fbd8bdd9ca0a23fd4167449a4997f93dac8"
+    ),
+    "exchange-property/chain_f3_k3_sq": (
+        "3248c56c719a878706b97e578458dfb5752b7fe8bec7ae37218d2e00490b1507"
+    ),
+    "exchange-property/chain_f3_k4": (
+        "ccc6931a0bec576be3260867632515e3573d123a2dc5704f879cf738a41a02a9"
+    ),
+    "exchange-property/chain_f3_k4_sq": (
+        "835bcc376b41d2da43aebd376c861adc90a6a1bc683271c815ad48d836c4f2bd"
+    ),
+    "exchange-property/mat2_simple_f2": (
+        "71f0259575e0d143f77ab34dbddd1aef8aaa9fe064c6c1994ceb5eef7cdc382f"
+    ),
+    "exchange-property/mat2_simple_f2_sq": (
+        "f606d14fe4bba3b4f0ad0015c9bc4c0fc7ce3d50a355667e983534edf3b48a99"
+    ),
+    "exchange-property/semisimple2_f2": (
+        "8e4425baa755bff7ec3f4123db952e35fb1fc583de2b0f09cb77fac5a290d4fa"
+    ),
+    "exchange-property/semisimple3_f2": (
+        "63b9b73aa95249a38f1322f1e7f1cfb9bbc97191f483f029086ad882316feb93"
+    ),
+    "exchange-property/tri4_f2": (
+        "af6e2c7d8442c6affa9f6f91a60ce4d1e14dd1c47c5485038b63712d346bfb20"
+    ),
+    "exchange-property/tri4_f2_sq": (
+        "32edf27dc3b3c53c1b3ab30874c605a632846d6371b2bf7662fed16f152bc45b"
+    ),
+    "exchange-property/tri4_f3": (
+        "01e68279b34dc3a47735f8174f7965c1917527d6349438586bf0c0e4cbfa6867"
+    ),
+    "exchange-property/tri4_f3_sq": (
+        "eb7ab16b0f8d911ae823b0ccd2b6c08a54cc14f5d3f3bd16925af7347a4ed00f"
+    ),
+}
+
+
+def oracle_report(lat, n_max=3, seed=1789, sample_cap=DECOMP_SAMPLE_CAP) -> FiepReport:
+    """The exchange scan rebuilt from the oracles, pair by pair."""
+    families = []
+    sampled = False
+    for n in range(1, n_max + 1):
+        family = list(brute_decompositions(lat, n))
+        if n >= 3 and len(family) > sample_cap:
+            family = random.Random(seed).sample(family, sample_cap)
+            sampled = True
+        families.append(family)
+    witnesses = []
+    pairs = 0
+    for x in lat.summand_indices():
+        for family in families:
+            for decomp in family:
+                pairs += 1
+                choice = brute_exchange_choice(lat, x, decomp)
+                if choice is None:
+                    return FiepReport(
+                        False, n_max, pairs, tuple(witnesses), sampled, seed, (x, decomp)
+                    )
+                witnesses.append((x, decomp, choice))
+    return FiepReport(True, n_max, pairs, tuple(witnesses), sampled, seed, None)
+
+
+def test_decompositions_match_the_product_filter(fixtures):
+    for fx in fixtures:
+        lat = lattice_of(fx.module)
+        for n in (1, 2, 3):
+            assert _decomposition_index_tuples(lat, n) == brute_decompositions(lat, n), (
+                fx.name,
+                n,
+            )
+
+
+def test_fiep_scan_matches_the_oracle_report(fixtures):
+    for fx in fixtures:
+        if fx.name == "chain_f3_k4_sq":
+            continue  # 962,390 literal searches; sampled in the next test
+        lat = lattice_of(fx.module)
+        assert fiep_scan(lat) == oracle_report(lat), fx.name
+
+
+def test_fiep_scan_witnesses_on_the_largest_square(fixtures_by_name):
+    lat = lattice_of(fixtures_by_name["chain_f3_k4_sq"].module)
+    rep = fiep_scan(lat)
+    assert rep.verdict and not rep.sampled and rep.failure is None
+    assert rep.pairs_checked == len(rep.witnesses) == 962390
+    for x, decomp, choice in rep.witnesses[::1000]:
+        assert choice == brute_exchange_choice(lat, x, decomp), (x, decomp)
+
+
+@pytest.mark.parametrize("n_max", [3, 4])
+@pytest.mark.parametrize("sample_cap", [1, 2, 5])
+def test_sampled_fiep_scan_matches_the_oracle_report(fixtures_by_name, n_max, sample_cap):
+    lat = lattice_of(fixtures_by_name["semisimple3_f2"].module)
+    rep = fiep_scan(lat, n_max=n_max, sample_cap=sample_cap)
+    assert rep.sampled
+    assert rep == oracle_report(lat, n_max=n_max, sample_cap=sample_cap)
+
+
+def test_exchange_digests_are_pinned():
+    manifest = verify_claims(VerifyConfig(only=("exchange-property",)))
+    assert manifest.passed
+    assert {c.check_id: c.witness_digest for c in manifest.checks} == EXCHANGE_DIGESTS
