@@ -83,9 +83,6 @@ class Algebra:
                 out = vec_add(out, vec_scale(a * b, self.constants[i][j], p), p)
         return out
 
-    def basis_vector(self, i: int) -> Vec:
-        return tuple(1 if t == i else 0 for t in range(self.dim))
-
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field})"
 

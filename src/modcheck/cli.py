@@ -20,15 +20,13 @@ from .errors import ModcheckError, SchemaError, TooLarge, UnresolvedDivision, Ze
 from .io import load_module
 from .lattice import lattice_of
 from .properties import property_report
-from .summands import fiep_scan
+from .summands import FIEP_WITNESS_LIMIT, fiep_scan
 from .verify import RUN_ORDER, VerifyConfig, verify_claims
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-FIEP_WITNESS_LIMIT = 100
 
 
 def _emit(doc, args) -> None:
@@ -80,10 +78,8 @@ def cmd_lattice(args) -> int:
 def cmd_fiep(args) -> int:
     lat = lattice_of(_load(args.module), cap_dim=args.cap_dim)
     report = fiep_scan(lat, n_max=args.n_max, seed=args.seed)
-    doc = report.to_json(witness_limit=FIEP_WITNESS_LIMIT)
+    doc = report.to_json()
     doc["schema_version"] = 1
-    if len(report.witnesses) > FIEP_WITNESS_LIMIT:
-        doc["witnesses_truncated_to"] = FIEP_WITNESS_LIMIT
     _emit(doc, args)
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 

@@ -27,10 +27,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_from_rows(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def vec_add(u: Vec, v: Vec, p: int) -> Vec:
     return tuple((a + b) % p for a, b in zip(u, v))
 
@@ -63,10 +59,6 @@ def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
 
 def vec_mat(v: Vec, A: Mat, p: int) -> Vec:
     return mat_mul((v,), A, p)[0]
-
-
-def transpose(A: Mat) -> Mat:
-    return tuple(zip(*A)) if A else ()
 
 
 def lin_comb(coeffs, mats, rows: int, cols: int, p: int) -> Mat:
@@ -220,24 +212,17 @@ def solve_row(A: Mat, b: Vec, p: int):
     if m == 0:
         return () if not any(x % p for x in b) else None
     aug = tuple(tuple(A[i]) + tuple(1 if j == i else 0 for j in range(m)) for i in range(m))
-    red, _ = rref(aug, p)
+    red, pivots = rref(aug, p)
     ncols = len(A[0])
-    left = tuple(row[:ncols] for row in red)
-    piv = []
-    seen = 0
-    for row in left:
-        nz = next((j for j, x in enumerate(row) if x), None)
-        piv.append(nz)
-        seen += 1
     w = list(x % p for x in b)
     coeffs = [0] * len(red)
-    for i, (row, c) in enumerate(zip(left, piv)):
-        if c is None:
-            continue
+    for i, (row, c) in enumerate(zip(red, pivots)):
+        if c >= ncols:
+            break  # this row and all below it have a zero left part
         f = w[c]
         coeffs[i] = f
         if f:
-            w = [(x - f * y) % p for x, y in zip(w, row)]
+            w = [(x - f * y) % p for x, y in zip(w, row[:ncols])]
     if any(w):
         return None
     x = [0] * m
@@ -258,10 +243,6 @@ def inverse(A: Mat, p: int) -> Mat | None:
     if len(red) < n or pivots[:n] != tuple(range(n)):
         return None
     return tuple(row[n:] for row in red)
-
-
-def is_invertible(A: Mat, p: int) -> bool:
-    return len(A) == len(A[0] if A else ()) and rank(A, p) == len(A)
 
 
 # -- point enumeration -------------------------------------------------------

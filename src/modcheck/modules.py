@@ -74,22 +74,6 @@ class RepModule:
         """v * e_i for the i-th algebra basis element."""
         return vec_mat(v, self.actions[i], self.field.p)
 
-    def act_by(self, v: Vec, coords: Vec) -> Vec:
-        """v * x where x = sum coords[i] * e_i."""
-        p = self.field.p
-        out = (0,) * self.dim
-        for i, c in enumerate(coords):
-            if c:
-                w = self.act(v, i)
-                out = tuple((a + c * b) % p for a, b in zip(out, w))
-        return out
-
-    def zero_vector(self) -> Vec:
-        return (0,) * self.dim
-
-    def basis_vector(self, i: int) -> Vec:
-        return tuple(1 if t == i else 0 for t in range(self.dim))
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"RepModule(dim={self.dim}, algebra_dim={self.algebra.dim}{tag})"
@@ -102,12 +86,11 @@ class Submodule:
 
     def __post_init__(self):
         p = self.parent.field.p
-        red, _ = rref(self.basis, p) if self.basis else ((), ())
+        red, pivots = rref(self.basis, p) if self.basis else ((), ())
         if red != self.basis:
             raise ShapeMismatch("submodule basis must be in reduced echelon form")
         if any(len(row) != self.parent.dim for row in self.basis):
             raise ShapeMismatch("basis vectors must live in the parent module")
-        _, pivots = rref(self.basis, p) if self.basis else ((), ())
         for v in self.basis:
             for i in range(self.parent.algebra.dim):
                 if not in_span(self.parent.act(v, i), self.basis, pivots, p):
@@ -129,9 +112,6 @@ class Submodule:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def is_full(self) -> bool:
-        return self.dim == self.parent.dim
 
     def sort_key(self):
         return (self.dim, self.basis)
@@ -178,10 +158,6 @@ def make_submodule(parent: RepModule, rows) -> Submodule:
 
 def zero_submodule(parent: RepModule) -> Submodule:
     return Submodule(parent, ())
-
-
-def full_submodule(parent: RepModule) -> Submodule:
-    return Submodule(parent, identity(parent.dim))
 
 
 def submodule_generated(M: RepModule, vectors) -> Submodule:
@@ -253,10 +229,6 @@ class ModuleHom:
 
     def __repr__(self):
         return f"ModuleHom({self.source_module.dim} -> {self.target_module.dim})"
-
-
-def identity_hom(M: RepModule) -> ModuleHom:
-    return ModuleHom(M, M, identity(M.dim))
 
 
 def zero_hom(A, B) -> ModuleHom:

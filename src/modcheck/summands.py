@@ -30,6 +30,7 @@ from .linalg import rank
 from .modules import RepModule, Submodule
 
 DECOMP_SAMPLE_CAP = 10**4
+FIEP_WITNESS_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,11 @@ class FiepReport:
     def __bool__(self):
         return self.verdict
 
-    def to_json(self, witness_limit: int | None = None) -> dict:
-        """The report as JSON data; with ``witness_limit``, only the first
-        that many witnesses are serialized."""
-        return {
+    def to_json(self) -> dict:
+        """The report as JSON data.  Only the first ``FIEP_WITNESS_LIMIT``
+        witnesses are serialized, and a cut list is marked with
+        ``witnesses_truncated_to``: chain_f3_k4_sq alone has 962,390."""
+        doc = {
             "verdict": self.verdict,
             "n_max": self.n_max,
             "pairs_checked": self.pairs_checked,
@@ -148,10 +150,13 @@ class FiepReport:
             "seed": self.seed,
             "witnesses": [
                 {"summand": s, "decomposition": list(d), "choice": list(c)}
-                for (s, d, c) in self.witnesses[:witness_limit]
+                for (s, d, c) in self.witnesses[:FIEP_WITNESS_LIMIT]
             ],
             "failure": list(self.failure) if self.failure else None,
         }
+        if len(self.witnesses) > FIEP_WITNESS_LIMIT:
+            doc["witnesses_truncated_to"] = FIEP_WITNESS_LIMIT
+        return doc
 
 
 def has_fiep(

@@ -12,23 +12,39 @@ below range over the canonical family only: K over the submodule lattice
 with g = π (lifting), X over the lattice with g = inclusion (extending),
 and f over the whole finite hom space in each case.
 
-Inside the (ii) branches the existential candidates are prefiltered by a
-plain rank fact: a surjective linear map needs a source of at least the
-target's dimension and an injective one needs a target at least as large
-as the source.  Candidates failing the count admit no witness of any
-kind, module structure aside.
+Branch (ii) is vacuous on finite modules.  Each triple is discharged by
+branch (i), some h ∈ End(U) with f = g∘h (lifting) or f = h∘g
+(extending), or by the variant's branch (ii).  Branch (ii) asks for an
+epimorphism onto a copy of U or a monomorphism out of one, and a finite
+module only surjects onto U from a submodule of at least U's size, and
+only embeds U into a quotient of at least U's size:
+
+- lifting (b) and extending (c) need an epimorphism h: N → U with N ≤ U,
+  so N = U and h is invertible in End(U).  Lifting (b) reads f∘h = π,
+  so f = π∘h⁻¹ with h⁻¹ ∈ End(U); extending (c) reads f = h∘g, branch
+  (i)'s own equation.
+- lifting (c) and extending (b) need a monomorphism h from U into U/K′
+  (K′ ≤ K) or U/K, so the submodule is 0 and h is an isomorphism onto
+  U/0, whose projection π₀: U → U/0 is an isomorphism too.  Lifting (c)
+  reads f = g′∘h for the induced g′: U/0 → U/K, so f = π∘(π₀⁻¹∘h);
+  extending (b) reads h∘f = π₀∘g, so f = (h⁻¹∘π₀)∘g.  Both bracketed
+  maps lie in End(U).
+
+Either way branch (ii) discharges only triples branch (i) already
+discharges, so the sweep emits "i" or "none" per triple and both
+variants give the same verdict and witnesses; ``variant`` labels the
+report.  The exact-arithmetic backend is where branch (ii) matters.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotHollowUniform, TooLarge
 from .homs import hom_space
-from .lattice import SubmoduleLattice, lattice_of
-from .linalg import inverse, left_kernel, lin_comb, mat_mul, rank, solve_row
+from .lattice import lattice_of
+from .linalg import lin_comb, mat_mul, solve_row
 from .modules import RepModule, quotient_module
 from .properties import hollow_scan, uniform_scan
 
@@ -40,8 +56,10 @@ class TripleOutcome:
     """One canonical test triple and how it was discharged.
 
     ``anchor_basis`` is the submodule defining the triple (K for the
-    lifting sweep, X for the extending sweep); ``branch`` is "i", "ii",
-    or "none" when the triple refutes the condition.
+    lifting sweep, X for the extending sweep); ``branch`` is "i", with
+    the endomorphism h as witness, or "none" when the triple refutes the
+    condition.  Branch (ii) adds nothing on a finite module (see the
+    module docstring).
     """
 
     anchor_basis: tuple
@@ -79,51 +97,45 @@ class TheoremReport:
             "triples": [o.to_json() for o in self.outcomes],
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-def _require_hollow_uniform(lat: SubmoduleLattice) -> None:
-    if lat.module.dim == 0 or not (hollow_scan(lat) and uniform_scan(lat)):
-        raise NotHollowUniform("the component module must be hollow and uniform")
-
-
-def _quotients(lat: SubmoduleLattice):
-    """Lookup k -> (U/K, projection matrix, basis of Hom(U, U/K)) for the
-    member K = k, each quotient built once per criterion call."""
-    table = {}
-
-    def quotient(k: int):
-        if k not in table:
-            Q, pi = quotient_module(lat.module, lat.members[k])
-            table[k] = (Q, pi.matrix, hom_space(lat.module, Q))
-        return table[k]
-
-    return quotient
-
 
 def _flatten(M) -> tuple:
     return tuple(x for row in M for x in row)
 
 
-def _affine_solutions(A_rows, b, p):
-    """All x with x @ A == b, as (particular, kernel basis); None if empty."""
-    if not A_rows:
-        return ((), ()) if not any(v % p for v in b) else None
-    part = solve_row(A_rows, b, p)
-    if part is None:
-        return None
-    return part, left_kernel(A_rows, p)
+def _sweep(theorem: str, U: RepModule, variant: str, cap_sweep: int, system) -> TheoremReport:
+    """Branch (i) over every canonical triple of one criterion.
 
-
-def _iter_affine(part, kernel, p):
-    for coeffs in product(range(p), repeat=len(kernel)):
-        x = list(part)
-        for c, krow in zip(coeffs, kernel):
-            if c:
-                for j in range(len(x)):
-                    x[j] = (x[j] + c * krow[j]) % p
-        yield tuple(x)
+    ``system(member)`` returns the hom-space basis the triple's f ranges
+    over, the shape of f, and ``image``, the composite of an endomorphism
+    E with g (E·P for lifting, B_X·E for extending).  A triple holds when
+    Σ cᵢ·image(Eᵢ) = F has a solution c over the basis Eᵢ of End(U); the
+    witness is h = Σ cᵢ·Eᵢ.
+    """
+    if variant not in ("b", "c"):
+        raise ValueError("variant must be 'b' or 'c'")
+    lat = lattice_of(U)
+    if U.dim == 0 or not (hollow_scan(lat) and uniform_scan(lat)):
+        raise NotHollowUniform("the component module must be hollow and uniform")
+    p, n = U.field.p, U.dim
+    end_basis = hom_space(U, U)
+    outcomes = []
+    for member in lat.members:
+        fam, (rows, cols), image = system(member)
+        if p ** len(fam) > cap_sweep:
+            raise TooLarge(f"{theorem} sweep", p ** len(fam), cap_sweep)
+        A = tuple(_flatten(image(E)) for E in end_basis)
+        for coeffs in product(range(p), repeat=len(fam)):
+            F = lin_comb(coeffs, fam, rows, cols, p)
+            sol = solve_row(A, _flatten(F), p)
+            if sol is None:
+                outcomes.append(TripleOutcome(member.basis, F, "none", {}))
+            else:
+                h = lin_comb(sol, end_basis, n, n, p)
+                outcomes.append(
+                    TripleOutcome(member.basis, F, "i", {"h": [list(r) for r in h]})
+                )
+    verdict = all(o.branch == "i" for o in outcomes)
+    return TheoremReport(theorem, variant, verdict, tuple(outcomes))
 
 
 def square_lifting_criterion(
@@ -132,105 +144,18 @@ def square_lifting_criterion(
     """Decide the lifting condition for M = U², variant (b) or (c).
 
     Canonical triple family: X = U₂/K for K over the lattice of U,
-    g = natural projection, f over Hom(U₁, U₂/K).  Per triple:
-
-    branch (i), both variants: some h: U₁ → U₂ with f = g∘h.
-    branch (ii), variant b: a submodule N ≤ U₂ and an epimorphism
-      h: N → U₁ with g|_N = f∘h.
-    branch (ii), variant c: a submodule K' ≤ Ker g and a monomorphism
-      h: U₁ → U₂/K' with g'∘h = f, g' the map induced by g.
+    g = natural projection, f over Hom(U₁, U₂/K).  A triple holds when
+    some h: U₁ → U₂ has f = g∘h, the system E·P = F for the projection
+    matrix P.  The branch (ii) of either variant adds nothing on a
+    finite module, so ``variant`` only labels the report.
     """
-    if variant not in ("b", "c"):
-        raise ValueError("variant must be 'b' or 'c'")
-    lat = lattice_of(U)
-    _require_hollow_uniform(lat)
-    p = U.field.p
-    n = U.dim
-    quotient = _quotients(lat)
-    end_basis = hom_space(U, U)
-    outcomes = []
-    verdict = True
-    for k, K in enumerate(lat.members):
-        Q, P, fam = quotient(k)
-        if p ** len(fam) > cap_sweep:
-            raise TooLarge("lifting sweep", p ** len(fam), cap_sweep)
-        # branch (i) system: coefficients c with sum c_i (E_i P) = F
-        A_i = tuple(_flatten(mat_mul(E, P, p)) for E in end_basis)
-        for coeffs in product(range(p), repeat=len(fam)):
-            F = lin_comb(coeffs, fam, n, Q.dim, p)
-            sol = solve_row(A_i, _flatten(F), p) if A_i else (
-                () if not any(_flatten(F)) else None
-            )
-            if sol is not None:
-                h = lin_comb(sol, end_basis, n, n, p)
-                outcomes.append(
-                    TripleOutcome(K.basis, F, "i", {"h": [list(r) for r in h]})
-                )
-                continue
-            wit = (
-                _lifting_branch_b(lat, K, F, P, end_basis, p, n)
-                if variant == "b"
-                else _lifting_branch_c(lat, quotient, K, F, P, p, n)
-            )
-            if wit is None:
-                verdict = False
-                outcomes.append(TripleOutcome(K.basis, F, "none", {}))
-            else:
-                outcomes.append(TripleOutcome(K.basis, F, "ii", wit))
-    return TheoremReport("lifting", variant, verdict, tuple(outcomes))
+    p, n = U.field.p, U.dim
 
+    def system(K):
+        Q, pi = quotient_module(U, K)
+        return hom_space(U, Q), (n, Q.dim), lambda E: mat_mul(E, pi.matrix, p)
 
-def _lifting_branch_b(lat, K, F, P, end_basis, p, n):
-    """Epimorphism h: N → U₁ with g|_N = f∘h, N over the lattice of U₂."""
-    for N in lat.members:
-        if N.dim < n:
-            continue  # too small to surject onto U₁
-        # N is all of U₂ here; unknown h ranges over End(U) as matrices,
-        # the condition g|_N = f h reads H F = P.
-        A = tuple(_flatten(mat_mul(E, F, p)) for E in end_basis)
-        sols = _affine_solutions(A, _flatten(P), p)
-        if sols is None:
-            continue
-        part, ker = sols
-        for x in _iter_affine(part, ker, p):
-            H = lin_comb(x, end_basis, n, n, p)
-            if rank(H, p) == n:
-                return {
-                    "N": [list(r) for r in N.basis],
-                    "h": [list(r) for r in H],
-                }
-    return None
-
-
-def _lifting_branch_c(lat, quotient, K, F, P, p, n):
-    """Monomorphism h: U₁ → U₂/K' with g'h = f, K' ≤ Ker g = K."""
-    k_idx = lat.index_of(K)
-    for kp_idx in range(len(lat.members)):
-        Kp = lat.members[kp_idx]
-        if not lat.leq(kp_idx, k_idx):
-            continue
-        if n - Kp.dim < n:
-            continue  # U₂/K' too small to receive a monomorphism from U₁
-        Qp, Pp, fam = quotient(kp_idx)
-        # g' : U₂/K' -> U₂/K with g'(pi'(u)) = pi(u); pi' is onto, so a
-        # linear section S (S pi' = id) gives the matrix G = S P.
-        S = inverse(Pp, p) if Qp.dim == n else None
-        if S is None:
-            continue
-        G = mat_mul(S, P, p)
-        A = tuple(_flatten(mat_mul(E, G, p)) for E in fam)
-        sols = _affine_solutions(A, _flatten(F), p)
-        if sols is None:
-            continue
-        part, ker = sols
-        for x in _iter_affine(part, ker, p):
-            H = lin_comb(x, fam, n, Qp.dim, p)
-            if rank(H, p) == n:
-                return {
-                    "K_prime": [list(r) for r in Kp.basis],
-                    "h": [list(r) for r in H],
-                }
-    return None
+    return _sweep("lifting", U, variant, cap_sweep, system)
 
 
 def square_extending_criterion(
@@ -239,90 +164,15 @@ def square_extending_criterion(
     """Decide the extending condition for M = U², variant (b) or (c).
 
     Canonical triple family: X over the lattice of U₁, g = inclusion,
-    f over Hom(X, U₂).  Per triple:
-
-    branch (i), both variants: some h: U₁ → U₂ with f = h∘g.
-    branch (ii), variant b: a submodule K ≤ U₁ and a monomorphism
-      h: U₂ → U₁/K with h∘f = π∘g.
-    branch (ii), variant c: a submodule N ≤ U₁ containing im g and an
-      epimorphism h: N → U₂ with f = h∘g.
+    f over Hom(X, U₂).  A triple holds when some h: U₁ → U₂ has
+    f = h∘g, the system B_X·E = F for X's basis B_X.  The branch (ii) of
+    either variant adds nothing on a finite module, so ``variant`` only
+    labels the report.
     """
-    if variant not in ("b", "c"):
-        raise ValueError("variant must be 'b' or 'c'")
-    lat = lattice_of(U)
-    _require_hollow_uniform(lat)
-    p = U.field.p
-    n = U.dim
-    quotient = _quotients(lat)
-    end_basis = hom_space(U, U)
-    outcomes = []
-    verdict = True
-    for X in lat.members:
-        Xmod = X.as_module()
-        fam = hom_space(Xmod, U) if X.dim else ()
-        if p ** len(fam) > cap_sweep:
-            raise TooLarge("extending sweep", p ** len(fam), cap_sweep)
-        B = X.basis
-        A_i = tuple(_flatten(mat_mul(B, E, p)) for E in end_basis)
-        for coeffs in product(range(p), repeat=len(fam)):
-            F = lin_comb(coeffs, fam, X.dim, n, p)
-            flatF = _flatten(F)
-            sol = solve_row(A_i, flatF, p) if A_i else (() if not any(flatF) else None)
-            if sol is not None:
-                h = lin_comb(sol, end_basis, n, n, p)
-                outcomes.append(
-                    TripleOutcome(X.basis, F, "i", {"h": [list(r) for r in h]})
-                )
-                continue
-            wit = (
-                _extending_branch_b(lat, quotient, X, F, p, n)
-                if variant == "b"
-                else _extending_branch_c(lat, X, F, end_basis, p, n)
-            )
-            if wit is None:
-                verdict = False
-                outcomes.append(TripleOutcome(X.basis, F, "none", {}))
-            else:
-                outcomes.append(TripleOutcome(X.basis, F, "ii", wit))
-    return TheoremReport("extending", variant, verdict, tuple(outcomes))
+    p, n = U.field.p, U.dim
 
+    def system(X):
+        fam = hom_space(X.as_module(), U) if X.dim else ()
+        return fam, (X.dim, n), lambda E: mat_mul(X.basis, E, p)
 
-def _extending_branch_b(lat, quotient, X, F, p, n):
-    """Monomorphism h: U₂ → U₁/K with h∘f = π∘g, K over the lattice of U₁."""
-    for k, K in enumerate(lat.members):
-        if n - K.dim < n:
-            continue  # U₁/K too small to receive a monomorphism from U₂
-        Q, P, fam = quotient(k)
-        target = mat_mul(X.basis, P, p)  # π∘g on X's basis
-        A = tuple(_flatten(mat_mul(F, E, p)) for E in fam)
-        sols = _affine_solutions(A, _flatten(target), p)
-        if sols is None:
-            continue
-        part, ker = sols
-        for x in _iter_affine(part, ker, p):
-            H = lin_comb(x, fam, n, Q.dim, p)
-            if rank(H, p) == n:
-                return {"K": [list(r) for r in K.basis], "h": [list(r) for r in H]}
-    return None
-
-
-def _extending_branch_c(lat, X, F, end_basis, p, n):
-    """Epimorphism h: N → U₂ with f = h∘g, N over members containing X."""
-    x_idx = lat.index_of(X)
-    for n_idx in range(len(lat.members)):
-        N = lat.members[n_idx]
-        if not lat.leq(x_idx, n_idx):
-            continue
-        if N.dim < n:
-            continue  # too small to surject onto U₂
-        # N is all of U₁; h ranges over End(U), the condition reads B_X H = F.
-        A = tuple(_flatten(mat_mul(X.basis, E, p)) for E in end_basis)
-        sols = _affine_solutions(A, _flatten(F), p)
-        if sols is None:
-            continue
-        part, ker = sols
-        for x in _iter_affine(part, ker, p):
-            H = lin_comb(x, end_basis, n, n, p)
-            if rank(H, p) == n:
-                return {"N": [list(r) for r in N.basis], "h": [list(r) for r in H]}
-    return None
+    return _sweep("extending", U, variant, cap_sweep, system)

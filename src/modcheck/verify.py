@@ -198,9 +198,6 @@ class Manifest:
             "checks": [c.to_json() for c in self.checks],
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
     def summary(self) -> str:
         lines = []
         for c in self.checks:

@@ -1,5 +1,7 @@
 """Field and linear-algebra kernel: canonical forms and solver laws."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,19 @@ def test_solve_row_finds_members_of_the_row_space(pm):
     assert x is not None
     out = [sum(c * rows[i][j] for i, c in enumerate(x)) % p for j in range(4)]
     assert tuple(out) == b
+
+
+def test_solve_row_refuses_targets_outside_a_dependent_row_space():
+    # dependent rows: the reduced augmented system has a row with zero left
+    # part, and every b off the line spanned by (1, 2, 0) is unsolvable
+    p = 3
+    rows = ((1, 2, 0), (2, 1, 0), (0, 0, 0))
+    line = {tuple(c * x % p for x in (1, 2, 0)) for c in range(p)}
+    for b in product(range(p), repeat=3):
+        x = solve_row(rows, b, p)
+        assert (x is not None) == (b in line), b
+        if x is not None:
+            assert tuple(sum(c * r[j] for c, r in zip(x, rows)) % p for j in range(3)) == b
 
 
 def test_intersect_rows_matches_set_intersection_f2():

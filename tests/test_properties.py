@@ -158,6 +158,19 @@ def test_property_report_records_cap_errors_not_silence():
     assert "skipped" in text
 
 
+def test_property_report_caps_and_marks_fiep_witnesses(fixtures_by_name):
+    from modcheck.summands import FIEP_WITNESS_LIMIT
+
+    fiep = property_report(fixtures_by_name["chain_f2_k2_sq"].module).witnesses["fiep"]
+    assert fiep["pairs_checked"] == 200
+    assert len(fiep["witnesses"]) == FIEP_WITNESS_LIMIT == 100
+    assert fiep["witnesses_truncated_to"] == FIEP_WITNESS_LIMIT
+
+    fiep = property_report(fixtures_by_name["mat2_simple_f2_sq"].module).witnesses["fiep"]
+    assert len(fiep["witnesses"]) == fiep["pairs_checked"] <= FIEP_WITNESS_LIMIT
+    assert "witnesses_truncated_to" not in fiep
+
+
 def test_chain_pairs_lift_exactly_when_lengths_are_adjacent():
     """C_a ⊕ C_b over F_p[x]/(x⁴) is lifting (and extending) iff |a-b| ≤ 1.
 

@@ -1,11 +1,17 @@
 """Square criteria: the two case-analysis variants versus the definition."""
 
+import hashlib
+import json
+
 import pytest
 
+from modcheck.algebra import algebra_from_structure_constants
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import NotHollowUniform
-from modcheck.modules import direct_sum
-from modcheck.properties import is_extending, is_lifting
+from modcheck.field import PrimeField
+from modcheck.lattice import lattice_of
+from modcheck.modules import RepModule, direct_sum
+from modcheck.properties import is_extending, is_lifting, uniserial_scan
 from modcheck.theorems import square_extending_criterion, square_lifting_criterion
 
 
@@ -48,3 +54,60 @@ def test_variant_flag_is_validated():
     U = truncated_poly_module(alg, 2)
     with pytest.raises(Exception):
         square_lifting_criterion(U, "d")
+
+
+def _a_mod_ya(p):
+    """U = A/yA for A = F_p⟨x, y⟩/(x², y², yx) on the basis (1, x, y, xy).
+
+    The only nonzero product among x, y, xy is x·y = xy.  U has the basis
+    (ū, x̄, x̄y) and is uniserial, hence hollow and uniform, but ū ↦ x̄ in
+    Hom(U, U/soc U) lifts to no endomorphism (any lift sends ū to some v
+    with v·y = 0, and x̄·y ≠ 0), so U ⊕ U is neither lifting nor extending.
+    """
+    F = PrimeField(p)
+    e = [tuple(int(t == i) for t in range(4)) for i in range(4)]
+    zero = (0,) * 4
+    constants = [[e[j] if i == 0 else e[i] if j == 0 else zero for j in range(4)] for i in range(4)]
+    constants[1][2] = e[3]
+    A = algebra_from_structure_constants(F, 4, constants, e[0])
+    one = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    x = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    y = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
+    xy = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+    return RepModule(A, 3, (one, x, y, xy), label=f"A/yA over F_{p}")
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded from the
+# implementation that still ran the branch-(ii) searches on every "none"
+# triple (2 of 11 per criterion for p = 2, 6 of 22 for p = 3)
+A_MOD_YA_REPORT_DIGESTS = {
+    (2, "lifting", "b"): "eeb1f49e6f6e03ea9c7721bf53eca1139890bcd15acfc5d7d68257e0e339189b",
+    (2, "lifting", "c"): "769ea0f75156f1d1a3d66bb73c9a797ffb60b89c2cd837a36fba07f261857143",
+    (2, "extending", "b"): "95a4e636b1a3681ea9d50f57b89d903926a0b5ead10e75e6548c48b10ec4a466",
+    (2, "extending", "c"): "bf524ae88b4b12ea6f85e20b25a94a202797b2ffe6ee94acd2ce430441965d52",
+    (3, "lifting", "b"): "dce36948e55af9e8cdb1897602f67de452dcfcdac7574247a79fb902f4a99ff6",
+    (3, "lifting", "c"): "e17881abb3df1ddf1b4211c52b483e5358c8c64cdf2a3c2e55255d0e9e689724",
+    (3, "extending", "b"): "faabebe1e8d4d0d3c8082a4589b1eea92360b97f7bd83e1b76e9cc3b4f0887d9",
+    (3, "extending", "c"): "6a2e68169f5702b1fcc787afe8ddb187980a688bc2cba26d87a479b6b8b04380",
+}
+
+
+@pytest.mark.parametrize("p, triples, refuting", [(2, 11, 2), (3, 22, 6)])
+def test_criteria_refute_the_square_of_a_mod_ya(p, triples, refuting):
+    U = _a_mod_ya(p)
+    lat = lattice_of(U)
+    assert len(lat.members) == 4 and uniserial_scan(lat)
+    square = direct_sum(U, U).module
+    definitional = {"lifting": is_lifting(square).verdict, "extending": is_extending(square).verdict}
+    assert definitional == {"lifting": False, "extending": False}
+    criteria = {"lifting": square_lifting_criterion, "extending": square_extending_criterion}
+    for theorem, criterion in criteria.items():
+        for variant in ("b", "c"):
+            rep = criterion(U, variant)
+            assert rep.verdict is definitional[theorem] is False
+            assert rep.failing() is not None
+            branches = [o.branch for o in rep.outcomes]
+            assert (len(branches), branches.count("none")) == (triples, refuting)
+            assert set(branches) == {"i", "none"}
+            digest = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+            assert digest == A_MOD_YA_REPORT_DIGESTS[(p, theorem, variant)]
