@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import NoUnity, NotAssociative, NotClosed, NotUnital, ShapeMismatch
 from .field import PrimeField
-from .linalg import Vec, vec_add, vec_scale
+from .linalg import Vec
 
 
 @dataclass(frozen=True)
@@ -38,50 +38,30 @@ class Algebra:
             raise ShapeMismatch("structure constants must be d x d x d")
         if len(self.unity) != d:
             raise ShapeMismatch("unity must have d coordinates")
+        e = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    left = self._mul_coords(self.constants[i][j], k)
-                    right = self._mul_coords_left(i, self.constants[j][k])
+                    left = self.mul(self.constants[i][j], e[k])
+                    right = self.mul(e[i], self.constants[j][k])
                     if left != right:
                         raise NotAssociative(
                             f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
                         )
         for i in range(d):
-            e_i = tuple(1 if t == i else 0 for t in range(d))
-            if self.mul(self.unity, e_i) != e_i or self.mul(e_i, self.unity) != e_i:
+            if self.mul(self.unity, e[i]) != e[i] or self.mul(e[i], self.unity) != e[i]:
                 raise NotUnital(f"unity fails on basis element e{i}")
-
-    def _mul_coords(self, x: Vec, k: int) -> Vec:
-        """(x as element) * e_k."""
-        p = self.field.p
-        out = (0,) * self.dim
-        for i, c in enumerate(x):
-            if c:
-                out = vec_add(out, vec_scale(c, self.constants[i][k], p), p)
-        return out
-
-    def _mul_coords_left(self, i: int, y: Vec) -> Vec:
-        """e_i * (y as element)."""
-        p = self.field.p
-        out = (0,) * self.dim
-        for k, c in enumerate(y):
-            if c:
-                out = vec_add(out, vec_scale(c, self.constants[i][k], p), p)
-        return out
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         """Product of two elements given by coordinate vectors."""
-        p = self.field.p
-        out = (0,) * self.dim
+        out = [0] * self.dim
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                out = vec_add(out, vec_scale(a * b, self.constants[i][j], p), p)
-        return out
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        for k, c in enumerate(self.constants[i][j]):
+                            out[k] += a * b * c
+        return tuple(v % self.field.p for v in out)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field})"

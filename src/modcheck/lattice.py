@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooLarge
-from .linalg import rref, span_point_bits
+from .linalg import point_coords, rref, span_point_bits
 from .modules import RepModule, Submodule
 
 DEFAULT_CAP_DIM = 8
@@ -242,11 +242,7 @@ def enumerate_submodules(
     if n == 0:
         cyclic_bases.add(())
     else:
-        coords = np.arange(n_points, dtype=np.int64)
-        pts = np.empty((n_points, n), dtype=np.int64)
-        for j in range(n):
-            pts[:, j] = coords % p
-            coords //= p
+        pts = point_coords(np.arange(n_points), n, p)
         acted = [pts @ np.array(M.actions[i], dtype=np.int64) % p for i in range(M.algebra.dim)]
         for idx in range(n_points):
             rows = [tuple(int(x) for x in a[idx]) for a in acted]

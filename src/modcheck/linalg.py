@@ -6,9 +6,10 @@ right (``v -> v @ A``), matching the right-module convention used by the
 rest of the package.
 
 The sizes involved are tiny (dimension <= 8, p a small prime), so the
-routines favour exactness and canonicity over asymptotic speed.  The one
-bulk operation, enumerating all points of a subspace, is vectorized with
-numpy.
+routines favour exactness and canonicity over asymptotic speed.  The bulk
+operations work on numpy arrays instead: the coordinates of points by
+index, the point set of a subspace, row reduction of tall arrays and the
+invertibility test over a stack of matrices.
 """
 
 from __future__ import annotations
@@ -25,23 +26,6 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_scale(c: int, v: Vec, p: int) -> Vec:
-    c %= p
-    return tuple((c * a) % p for a in v)
-
-
-def mat_add(A: Mat, B: Mat, p: int) -> Mat:
-    return tuple(vec_add(ra, rb, p) for ra, rb in zip(A, B))
-
-
-def mat_scale(c: int, A: Mat, p: int) -> Mat:
-    return tuple(vec_scale(c, row, p) for row in A)
 
 
 def mat_mul(A: Mat, B: Mat, p: int) -> Mat:
@@ -140,6 +124,30 @@ def rref_array(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def rank(rows, p: int) -> int:
     return len(rref(rows, p)[0])
+
+
+def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
+    """One bool per matrix of an (N, n, n) integer stack: invertible mod p?
+
+    Fraction-free forward elimination over the whole stack at once.  Each
+    step moves the first row with a nonzero entry in the leading column to
+    the top, then replaces every other row by row * pivot - row[0] *
+    pivot_row and drops the leading row and column.  That needs no modular
+    inverses, and since entries stay below p <= 2**31 every product stays
+    below 2**62, inside int64.  A matrix with no pivot in some step is
+    singular.
+    """
+    A = np.asarray(mats, dtype=np.int64) % p
+    ok = np.ones(len(A), dtype=bool)
+    stack = np.arange(len(A))
+    while A.shape[1]:
+        nonzero = A[:, :, 0] != 0
+        ok &= nonzero.any(axis=1)
+        pivot = nonzero.argmax(axis=1)
+        top = A[stack, pivot]
+        A[stack, pivot] = A[:, 0]  # the old leading row takes the pivot row's place
+        A = (A[:, 1:, 1:] * top[:, None, :1] - A[:, 1:, :1] * top[:, None, 1:]) % p
+    return ok
 
 
 def reduce_against(v: Vec, basis: Mat, pivots, p: int) -> Vec:
@@ -247,6 +255,16 @@ def inverse(A: Mat, p: int) -> Mat | None:
 
 # -- point enumeration -------------------------------------------------------
 
+def point_coords(indices: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Coordinates of points in F_p^k by index, one row per index.
+
+    The coordinates of index i are its k base-p digits, least significant
+    first, so ``point_coords(idx, k, p) @ p ** arange(k) == idx``.
+    """
+    powers = p ** np.arange(k, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[:, None] // powers % p
+
+
 def span_point_bits(basis: Mat, n: int, p: int) -> int:
     """Bitset (python int) of the point indices of the span of `basis`.
 
@@ -258,13 +276,7 @@ def span_point_bits(basis: Mat, n: int, p: int) -> int:
     k = len(basis)
     if k == 0:
         return 1  # just the zero vector, index 0
-    arr = np.array(basis, dtype=np.int64)
-    coeffs = np.arange(p ** k, dtype=np.int64)
-    digits = np.empty((p ** k, k), dtype=np.int64)
-    for j in range(k):
-        digits[:, j] = coeffs % p
-        coeffs //= p
-    pts = digits @ arr % p
+    pts = point_coords(np.arange(p**k), k, p) @ np.array(basis, dtype=np.int64) % p
     powers = p ** np.arange(n, dtype=np.int64)
     idx = pts @ powers
     mask = np.zeros(npoints, dtype=bool)

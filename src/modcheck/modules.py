@@ -23,9 +23,8 @@ from .linalg import (
     identity,
     in_span,
     inverse,
-    mat_add,
+    lin_comb,
     mat_mul,
-    mat_scale,
     rref,
     vec_mat,
     zeros,
@@ -51,19 +50,12 @@ class RepModule:
         for i in range(alg.dim):
             for j in range(alg.dim):
                 lhs = mat_mul(self.actions[i], self.actions[j], p)
-                rhs = zeros(n, n)
-                for k, c in enumerate(alg.constants[i][j]):
-                    if c:
-                        rhs = mat_add(rhs, mat_scale(c, self.actions[k], p), p)
+                rhs = lin_comb(alg.constants[i][j], self.actions, n, n, p)
                 if lhs != rhs:
                     raise ShapeMismatch(
                         f"actions violate the product rule on basis pair ({i},{j})"
                     )
-        unity_action = zeros(n, n)
-        for k, c in enumerate(alg.unity):
-            if c:
-                unity_action = mat_add(unity_action, mat_scale(c, self.actions[k], p), p)
-        if unity_action != identity(n):
+        if lin_comb(alg.unity, self.actions, n, n, p) != identity(n):
             raise ShapeMismatch("unity does not act as the identity")
 
     @property

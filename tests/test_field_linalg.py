@@ -13,6 +13,7 @@ from modcheck.linalg import (
     in_span,
     intersect_rows,
     inverse,
+    invertible_mask,
     left_kernel,
     mat_mul,
     rank,
@@ -156,3 +157,20 @@ def test_rank_agrees_with_numpy_over_rationals_when_unimodular():
     for p in (2, 3, 5):
         assert rank(A, p) == 3
     assert np.linalg.matrix_rank(np.array(A)) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+def test_invertible_mask_equals_full_rank_on_seeded_stacks(p):
+    rng = np.random.default_rng(p % 1009)
+    for n in range(1, 7):
+        mats = rng.integers(0, p, size=(48, n, n), dtype=np.int64)
+        # small entries make singular matrices common for every p
+        mats[24:] = rng.integers(0, 2, size=(24, n, n))
+        mats[0] = 0
+        mats[1, n - 1] = mats[1, 0]  # repeated row (n = 1: unchanged)
+        mats[2, n - 1] = mats[2, 0] * (p - 1) % p  # a multiple of another row
+        before = mats.copy()
+        want = [rank(tuple(map(tuple, m.tolist())), p) == n for m in mats]
+        assert invertible_mask(mats, p).tolist() == want, (p, n)
+        assert (mats == before).all()
+        assert not want[0] and (n == 1 or not (want[1] or want[2]))

@@ -5,6 +5,7 @@ from itertools import product
 from modcheck import oracles
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.endring import endomorphism_ring, is_local
+from modcheck.errors import TooLarge
 from modcheck.homs import (
     compose,
     enumerate_homs,
@@ -16,6 +17,7 @@ from modcheck.homs import (
     is_mono,
     kernel,
 )
+from modcheck.modules import RepModule
 
 
 def _span_matrices(basis, p, dim_src, dim_tgt):
@@ -114,3 +116,56 @@ def test_identity_is_a_unit_and_ring_size_matches():
     assert ring.matrix_of(ring.identity_coords) == tuple(
         tuple(int(i == j) for j in range(4)) for i in range(4)
     )
+
+
+def test_unit_mask_matches_determinants_on_corpus_rings(fixtures):
+    checked = 0
+    for fx in fixtures:
+        M = fx.module
+        p = M.algebra.field.p
+        try:
+            ring = endomorphism_ring(M, cap=6561)
+        except TooLarge:
+            continue
+        for c in ring.elements():
+            unit = oracles.brute_is_invertible(ring.matrix_of(c), p)
+            assert ring.is_unit(c) == unit, (fx.name, c)
+        checked += ring.size
+    assert checked > 11_000
+
+
+def test_unit_mask_and_locality_across_chunks():
+    # End(F_p) = F_p over a large prime: 65,521 elements in several chunks
+    p = 65521
+    M = truncated_poly_module(truncated_poly_algebra(p, 1), 1)
+    ring = endomorphism_ring(M)
+    assert ring.size == p
+    assert ring.unit_mask.tolist() == [e != 0 for e in range(p)]
+    assert int(ring.unit_mask.sum()) == p - 1
+    assert ring.is_unit((p - 1,)) and not ring.is_unit((0,)) and not ring.is_unit((p,))
+    assert is_local(ring)
+    # End(F_3[x]/(x^10)) = F_3[x]/(x^10): local, units are the elements with
+    # a nonzero constant term, and the non-units fill a 9-dimensional ideal
+    # that the first chunk's non-units do not span
+    M = truncated_poly_module(truncated_poly_algebra(3, 10), 10)
+    ring = endomorphism_ring(M)
+    assert ring.size == 3**10
+    assert int(ring.unit_mask.sum()) == 2 * 3**9
+    assert is_local(ring)
+
+
+def test_locality_matches_pairwise_oracle_on_larger_rings(fixtures_by_name):
+    modules = [
+        truncated_poly_module(truncated_poly_algebra(5, 4), 4),  # 625 elements, local
+        truncated_poly_module(truncated_poly_algebra(3, 6), 6),  # 729 elements, local
+        fixtures_by_name["chain_f2_k3_sq"].module,  # 4,096 elements, not local
+        RepModule(truncated_poly_algebra(2, 2), 0, ((), ())),  # the zero ring
+    ]
+    expected = []
+    for M in modules:
+        p = M.algebra.field.p
+        ring = endomorphism_ring(M)
+        mats = [ring.matrix_of(c) for c in ring.elements()]
+        assert is_local(ring) == oracles.brute_is_local(mats, p, M.dim)
+        expected.append(is_local(ring))
+    assert expected == [True, True, False, True]
