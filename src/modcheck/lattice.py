@@ -1,8 +1,15 @@
 """Exhaustive submodule lattices for small modules.
 
 Every submodule over a finite ring is a sum of cyclic submodules, so the
-enumeration seeds with all cyclic closures and then closes the member set
-under member + cyclic sums; a single worklist pass reaches everything.
+enumeration first finds every cyclic closure and then closes the member
+set under member + cyclic sums; a single worklist pass reaches everything.
+Both phases run on the stack kernel ``rref_stack``.  The cyclic phase
+multiplies all p^n points by the action matrices in one product and
+reduces the generating sets in stack passes of POINT_CHUNK points, so
+memory does not grow with p^n.  The closure phase makes one stack pass
+per worklist member, with the member's basis on top of every zero-padded
+cyclic basis.  Reduced echelon form is canonical, so the bytes of a
+reduced basis identify its submodule.
 
 Each member carries a bitset of the point indices it contains, which makes
 inclusion a subset test and intersection a bitwise AND plus one dictionary
@@ -25,12 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooLarge
-from .linalg import point_coords, rref, span_point_bits
+from .linalg import point_coords, rref_stack, span_point_bits
 from .modules import RepModule, Submodule
 
 DEFAULT_CAP_DIM = 8
 DEFAULT_CAP_POINTS = 1 << 16
 LATTICE_MEMO_SIZE = 128  # lattices lattice_of keeps, least recently used dropped first
+POINT_CHUNK = 1 << 10  # points per stack pass of the cyclic phase, so memory stays flat in p^n
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,10 @@ def lattice_of(
     return lat
 
 
+def _as_basis(rows: np.ndarray) -> tuple:
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
 def enumerate_submodules(
     M: RepModule,
     cap_dim: int = DEFAULT_CAP_DIM,
@@ -233,36 +245,41 @@ def enumerate_submodules(
     _check_caps(M, cap_dim, cap_points)
     p = M.field.p
     n = M.dim
-    n_points = p**n
+    actions = np.array(M.actions, dtype=np.int64).reshape(M.algebra.dim, n, n)
 
-    # batch-compute the action images of every point: the cyclic closure of
-    # v is the span of {v . e_i}, so one numpy product per basis element
-    # yields every generating set at once
-    cyclic_bases = set()
-    if n == 0:
-        cyclic_bases.add(())
-    else:
-        pts = point_coords(np.arange(n_points), n, p)
-        acted = [pts @ np.array(M.actions[i], dtype=np.int64) % p for i in range(M.algebra.dim)]
-        for idx in range(n_points):
-            rows = [tuple(int(x) for x in a[idx]) for a in acted]
-            cyclic_bases.add(rref(rows, p)[0])
-    cyclic_list = [Submodule(M, b) for b in sorted(cyclic_bases)]
+    # cyclic phase: the closure of v is the span of {v . e_i}, so each
+    # point's generators come from one product with the action stack and
+    # one stack reduction gives every closure; distinct closures are
+    # told apart by their reduced bytes
+    seen = {}
+    for start in range(0, p**n, POINT_CHUNK):
+        pts = point_coords(np.arange(start, min(start + POINT_CHUNK, p**n)), n, p)
+        red, ranks = rref_stack(np.einsum("mj,djk->mdk", pts, actions), p)
+        for rows, k in zip(red, ranks):
+            key = rows[:k].tobytes()
+            if key not in seen:
+                seen[key] = Submodule(M, _as_basis(rows[:k]))
+    cyclics = [c for c in seen.values() if c.dim]
 
-    seen = {(): Submodule(M, ())}
-    queue = [Submodule(M, ())] + [c for c in cyclic_list if c.basis != ()]
-    for c in cyclic_list:
-        seen.setdefault(c.basis, c)
+    # closure phase: every member is a sum of nonzero cyclics, so one stack
+    # pass per worklist member puts its basis on top of every zero-padded
+    # cyclic basis and keeps the sums not seen before
+    pad = np.zeros((len(cyclics), max((c.dim for c in cyclics), default=0), n), dtype=np.int64)
+    for k, c in enumerate(cyclics):
+        pad[k, : c.dim] = c.basis
+    queue = list(cyclics)
     out = 0
     while out < len(queue):
         member = queue[out]
         out += 1
-        for c in cyclic_list:
-            rows = member.basis + c.basis
-            red, _ = rref(rows, p) if rows else ((), ())
-            if red not in seen:
-                s = Submodule(M, red)
-                seen[red] = s
+        top = np.array(member.basis, dtype=np.int64).reshape(1, member.dim, n)
+        red, ranks = rref_stack(np.concatenate([top.repeat(len(pad), axis=0), pad], axis=1), p)
+        # a sum no larger than the member is the member itself
+        for i in np.flatnonzero(ranks > member.dim):
+            key = red[i, : ranks[i]].tobytes()
+            if key not in seen:
+                s = Submodule(M, _as_basis(red[i, : ranks[i]]))
+                seen[key] = s
                 queue.append(s)
 
     members = tuple(sorted(seen.values(), key=lambda s: s.sort_key()))

@@ -87,14 +87,17 @@ class Submodule:
             for i in range(self.parent.algebra.dim):
                 if not in_span(self.parent.act(v, i), self.basis, pivots, p):
                     raise ShapeMismatch("row space is not closed under the action")
+        # kept on the instance, outside the dataclass fields, so equality
+        # and hashing are unaffected
+        object.__setattr__(self, "_pivots", pivots)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @property
-    def pivots(self):
-        return rref(self.basis, self.parent.field.p)[1] if self.basis else ()
+    def pivots(self) -> tuple:
+        return self._pivots
 
     def contains(self, v: Vec) -> bool:
         return in_span(v, self.basis, self.pivots, self.parent.field.p)
@@ -116,7 +119,7 @@ class Submodule:
         """
         module = self.__dict__.get("_as_module")
         if module is None:
-            module = _restricted_module(self.parent, self.basis)
+            module = _restricted_module(self.parent, self.basis, self.pivots)
             object.__setattr__(self, "_as_module", module)
         return module
 
@@ -128,9 +131,8 @@ class Submodule:
         return f"Submodule(dim={self.dim} of {self.parent.dim})"
 
 
-def _restricted_module(parent: RepModule, basis: Mat) -> RepModule:
+def _restricted_module(parent: RepModule, basis: Mat, pivots) -> RepModule:
     p = parent.field.p
-    _, pivots = rref(basis, p) if basis else ((), ())
     actions = []
     for i in range(parent.algebra.dim):
         rows = []

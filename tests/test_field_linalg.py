@@ -18,6 +18,8 @@ from modcheck.linalg import (
     mat_mul,
     rank,
     rref,
+    rref_array,
+    rref_stack,
     solve_row,
 )
 
@@ -174,3 +176,28 @@ def test_invertible_mask_equals_full_rank_on_seeded_stacks(p):
         assert invertible_mask(mats, p).tolist() == want, (p, n)
         assert (mats == before).all()
         assert not want[0] and (n == 1 or not (want[1] or want[2]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+def test_rref_stack_equals_scalar_rref_on_seeded_stacks(p):
+    rng = np.random.default_rng(p % 1013)
+    for r, n in ((2, 5), (3, 7), (5, 2), (7, 3), (4, 4), (6, 6), (1, 1)):
+        mats = rng.integers(0, p, size=(40, r, n), dtype=np.int64)
+        # small entries make dependent rows common for every p
+        mats[20:] = rng.integers(0, 2, size=(20, r, n))
+        mats[0] = 0
+        mats[1, r - 1] = mats[1, 0]  # repeated row (r = 1: unchanged)
+        mats[2, r - 1] = mats[2, 0] * (p - 1) % p  # a multiple of another row
+        before = mats.copy()
+        red, ranks = rref_stack(mats, p)
+        assert (mats == before).all()
+        assert red.shape == mats.shape and ranks.shape == (40,)
+        for m, got, k in zip(mats, red, ranks):
+            want, _ = rref(tuple(map(tuple, m.tolist())), p)
+            assert k == len(want), (p, r, n)
+            assert tuple(map(tuple, got[:k].tolist())) == want, (p, r, n)
+            assert not got[k:].any(), (p, r, n)  # zero rows sit below the pivots
+        assert ranks[0] == 0 and (r == 1 or ranks[1] < r and ranks[2] < r)
+        one, pivots = rref_array(mats[3], p)
+        assert (one == red[3, : ranks[3]]).all()
+        assert pivots == rref(tuple(map(tuple, mats[3].tolist())), p)[1]

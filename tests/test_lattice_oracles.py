@@ -1,12 +1,18 @@
 """Lattice enumeration against the point-set oracles, plus lattice laws."""
 
+import hashlib
+import json
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from helpers import point_set
 
 from modcheck import lattice, oracles
+from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import TooLarge
+from modcheck.linalg import inverse, mat_mul
+from modcheck.modules import RepModule
 from modcheck.properties import lattice_of, property_report
 from modcheck.verify import VerifyConfig, verify_claims
 
@@ -115,3 +121,81 @@ def test_lattice_memo_is_bounded_and_caps_come_first(enumerations, monkeypatch, 
 
     with pytest.raises(TooLarge):  # memoized, yet still refused under a smaller cap
         lattice_of(modules[0], cap_dim=modules[0].dim - 1)
+
+
+# sha256 of json.dumps(lattice.to_json(), sort_keys=True): members and
+# Hasse edges, as the scalar per-point enumeration produced them
+LATTICE_JSON_SHA256 = {
+    "chain_f2_k1": "4a077639c4b59c7cd3910f598c816067f477cdbf173e137325b085ba44109d45",
+    "chain_f2_k1_sq": "85aeefcee9e4047aba48690e98a5ad679a86753ea31d1d59827c1b57885818ca",
+    "chain_f2_k2": "ccb063485ed6db5db822c6ee6092381fb0ded2a0fb2fbf55d8982c49fbd81616",
+    "chain_f2_k2_sq": "e61cf06fe0ca4adbfa3dfc3967c613d79f08e122474cc600712b6c5c809b4a43",
+    "chain_f2_k3": "a00f3825d0c84f44736900227bc24d15ca01b6a40925bcda4b0cbc234d294bc7",
+    "chain_f2_k3_sq": "9dc8800f791e930538e5f64340de018c1b4d49cb01dfafa12a8a26d2387b0139",
+    "chain_f2_k4": "229c1177f04476d6cb25e391207729b1dd103bf91d8aed38d5e0f173239e38e2",
+    "chain_f2_k4_sq": "911b1b8a837781a84ad3af1436b83cacad1fa4e54c9e52cdf8553fad9ee2a1b7",
+    "chain_f3_k1": "4a077639c4b59c7cd3910f598c816067f477cdbf173e137325b085ba44109d45",
+    "chain_f3_k1_sq": "40b11171a5db1a33b53f40647ab8f45d6a3ad0b37f8212501911902dc39b45af",
+    "chain_f3_k2": "ccb063485ed6db5db822c6ee6092381fb0ded2a0fb2fbf55d8982c49fbd81616",
+    "chain_f3_k2_sq": "c9f0683bb0f7805a9bdb39a7b378b77469a8333a88175d99ccf864d895426a91",
+    "chain_f3_k3": "a00f3825d0c84f44736900227bc24d15ca01b6a40925bcda4b0cbc234d294bc7",
+    "chain_f3_k3_sq": "daaa2f986df1445fc8044b888e04c576cfefd2378ed5d5a7ce2afe401c7c1233",
+    "chain_f3_k4": "229c1177f04476d6cb25e391207729b1dd103bf91d8aed38d5e0f173239e38e2",
+    "chain_f3_k4_sq": "5ad38a4fbe3c899cab3972838f4580746b75ac7156f16801d62721f1f4a0238a",
+    "mat2_simple_f2": "1b859d34b0124cba01c680240579e5d782be41dcb7a822d85cf72fd515eca2d6",
+    "mat2_simple_f2_sq": "6aa4afc295ab58f8353bd49f87cb1444e242cb52be33f27c8fe6d4be309269a0",
+    "semisimple2_f2": "a8dc69e620a5d9133dce9b632c1b92ca1aa1937f4878d5093c0bafc70e8c4372",
+    "semisimple3_f2": "49c6db417534dd361848b8d27891ffec2698c50d81d5d10a198259758c34e66f",
+    "tri4_f2": "0ceb0ba04b4092c5cf65b78d3cddcf889b99e2290e30332a63aca1263ee78820",
+    "tri4_f2_sq": "6f2b5bcbc4b436d9538ec92343b6460344706c78409cf3673f08d61bbb735c71",
+    "tri4_f3": "0ceb0ba04b4092c5cf65b78d3cddcf889b99e2290e30332a63aca1263ee78820",
+    "tri4_f3_sq": "34a148429733522349f9f2871717f883827377e4dcab3988bc10997897712f6f",
+}
+
+
+def test_lattice_json_is_pinned_on_every_fixture(fixtures):
+    assert {fx.name for fx in fixtures} == set(LATTICE_JSON_SHA256)
+    for fx in fixtures:
+        doc = json.dumps(lattice_of(fx.module).to_json(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == LATTICE_JSON_SHA256[fx.name], fx.name
+
+
+def _rebased(M, rng):
+    """M in a seeded random basis: actions P A P^-1 for an invertible P."""
+    p, n = M.field.p, M.dim
+    while True:
+        P = tuple(map(tuple, rng.integers(0, p, size=(n, n)).tolist()))
+        Pinv = inverse(P, p)
+        if Pinv is not None:
+            break
+    actions = tuple(mat_mul(mat_mul(P, A, p), Pinv, p) for A in M.actions)
+    return RepModule(M.algebra, n, actions)
+
+
+def test_lattices_of_basis_changes_equal_brute_submodules(fixtures):
+    # every corpus module of dimension at most 4: the brute scan of the
+    # larger squares runs for seconds to minutes (tri4_f2_sq: 54 members,
+    # about 110 s)
+    rng = np.random.default_rng(2020)
+    checked = 0
+    for fx in fixtures:
+        if fx.module.dim > 4:
+            continue
+        M = _rebased(fx.module, rng)
+        lat = lattice.enumerate_submodules(M)
+        engine = {point_set(m, M) for m in lat.members}
+        assert engine == set(oracles.brute_submodules(M)), fx.name
+        assert len(lat) == len(lattice_of(fx.module)), fx.name
+        checked += 1
+    assert checked == 18
+
+
+def test_lattice_over_a_large_prime_crosses_point_chunks():
+    # F_65521 as a module over itself: 65,521 points, just under the point
+    # cap, reduced in several chunks through Fermat inverses of large entries
+    p = 65521
+    M = truncated_poly_module(truncated_poly_algebra(p, 1), 1)
+    assert p > lattice.POINT_CHUNK and p <= lattice.DEFAULT_CAP_POINTS
+    lat = lattice.enumerate_submodules(M)
+    assert [m.basis for m in lat.members] == [(), ((1,),)]
+    assert lat.hasse_edges == ((0, 1),)
