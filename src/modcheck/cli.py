@@ -135,13 +135,7 @@ def _route_x(x: Fraction, args):
 
 
 def cmd_exact(args) -> int:
-    from .exact import (
-        endo_is_unit,
-        fiep_failure_report,
-        mult_endo,
-        nonlocal_witness,
-        z_extension_routes,
-    )
+    from .exact import fiep_failure_report, z_extension_routes
 
     if args.mode == "zext":
         if args.a is None or args.b is None:
@@ -163,13 +157,10 @@ def cmd_exact(args) -> int:
             unresolved.extend(rep.unresolved)
             all_pass = all_pass and bool(rep.verdict)
 
-    wx, wy = nonlocal_witness(args.p, args.q)
-    for val in (wx, wy):
-        cert = endo_is_unit(mult_endo(val, args.p, args.q))
+    failure = fiep_failure_report(args.p, args.q)
+    for cert in failure.certificates:
         certificates.append({"case": "nonlocal-witness", **cert.to_json()})
         all_pass = all_pass and not cert.is_unit
-
-    failure = fiep_failure_report(args.p, args.q)
     certificates.append(failure.to_json())
 
     doc = {

@@ -21,7 +21,7 @@ from importlib import resources
 
 from .algebra import algebra_from_structure_constants, shaped_matrix_algebra
 from .field import PrimeField
-from .io import SCHEMA_VERSION, module_from_json
+from .io import SCHEMA_VERSION, module_from_json, module_to_json
 from .modules import RepModule, direct_sum, row_module
 
 TRIANGULAR_SHAPE = ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))
@@ -72,26 +72,6 @@ def _shaped_doc(name: str, p: int, shape, width: int) -> dict:
     }
 
 
-def _explicit_doc(name: str, M: RepModule) -> dict:
-    alg = M.algebra
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "field": {"p": alg.field.p},
-        "algebra": {
-            "kind": "structure_constants",
-            "dim": alg.dim,
-            "constants": [[list(v) for v in row] for row in alg.constants],
-            "unity": list(alg.unity),
-        },
-        "module": {
-            "kind": "action_matrices",
-            "dim": M.dim,
-            "actions": [[list(row) for row in mat] for mat in M.actions],
-        },
-    }
-
-
 def _known(value):
     return {"value": value, "provenance": "known"}
 
@@ -129,7 +109,7 @@ def _base_fixtures() -> list:
                 "hollow": _definition(True),
                 "uniform": _definition(True),
             }
-            out.append((name, M, _explicit_doc(name, M), expected))
+            out.append((name, M, module_to_json(M, name), expected))
 
     for blocks in (2, 3):
         name = f"semisimple{blocks}_f2"
@@ -200,7 +180,7 @@ def corpus(include_squares: bool = True, golden: dict | None = None) -> tuple:
             name = f"{base.name}_sq"
             M = direct_sum(base.module, base.module).module
             expected = _merge({}, golden.get(name, {}))
-            doc = dict(_explicit_doc(name, M), expected=expected)
+            doc = dict(module_to_json(M, name), expected=expected)
             fixtures.append(Fixture(name, M, doc, expected))
 
     return tuple(fixtures)

@@ -37,7 +37,6 @@ from .ring import (
     UElement,
     sample_relements,
     sample_uelements,
-    u_action,
 )
 from .zext import RouteReport, brute_route_scan, z_extension_routes
 
@@ -68,7 +67,6 @@ __all__ = [
     "representing_r",
     "sample_relements",
     "sample_uelements",
-    "u_action",
     "valuation",
     "verify_direct_case",
     "verify_graph_decomposition",

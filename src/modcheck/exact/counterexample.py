@@ -29,8 +29,7 @@ from ..errors import (
     UnresolvedDivision,
     WrongBranch,
 )
-from .endos import MultEndo, PartialHom, endo_is_unit, mult_endo, nonlocal_witness
-from .pruefer import PrueferElement
+from .endos import PartialHom, certified_witness, mult_endo
 from .rationals import LocalizedRational, as_fraction, decompose_x, valuation
 from .ring import RElement, UElement, sample_relements, sample_uelements, SAMPLE_SEED
 
@@ -281,13 +280,6 @@ def verify_partial_case(
     return CaseReport("partial", p, q, x, verdict, tuple(checks), tuple(unresolved))
 
 
-def _scaled_class(q: int, beta: PrueferElement, factor: Fraction) -> PrueferElement:
-    """Class of factor·rep(beta); well defined whenever v_q(factor) ≥ 0 or
-    the extra q-denominator is absorbed by the representative (callers
-    guarantee this by construction)."""
-    return PrueferElement.from_rational(q, beta.representative() * factor)
-
-
 def verify_graph_decomposition(
     x,
     p: int = 2,
@@ -318,39 +310,30 @@ def verify_graph_decomposition(
     checks.append(("w_nonzero", w != 0, f"w = {w}"))
     checks.append(("w_is_q_unit", valuation(w, q) == 0, f"v_{q}(w) = {valuation(w, q)}"))
 
+    factor = y / Fraction(p) ** m
+
     def h_apply(u: UElement) -> UElement:
-        """h(u) for u = p^m·ē·r: equals y·ē·r = (y·u_a/p^m, [y·rep(β)/p^m])."""
+        """h(u) for u = p^m·ē·r: equals y·ē·r = (y/p^m)·u."""
         if not h1.in_source(u):
             raise ShapeMismatch(f"{u} is outside the source N")
-        factor = y / Fraction(p) ** m
-        return UElement(
-            p, q, LocalizedRational(u.a.value * factor, p), _scaled_class(q, u.beta, factor)
-        )
+        return u.scale(factor)
 
+    # w has v_p(w) = −2m, so w·u only lands in U because the first
+    # component of every u below carries at least p^(2m); v_q(w) = 0
+    # handles β.
     base = UElement.of(p, q, Fraction(p) ** (2 * m))
-
-    def w_times(u: UElement) -> UElement:
-        # w has v_p(w) = −2m, so this only lands in U because the first
-        # component of u carries at least p^(2m); v_q(w) = 0 handles β.
-        return UElement(
-            p, q, LocalizedRational(u.a.value * w, p), _scaled_class(q, u.beta, w)
-        )
+    rs = sample_relements(p, q, seed=seed)
+    r_right = sample_relements(p, q, seed=seed + 7)[:8]
 
     bad = 0
     checked = 0
-    r_left = sample_relements(p, q, seed=seed)[:8]
-    r_right = sample_relements(p, q, seed=seed + 7)[:8]
-    for r1 in r_left:
+    for r1 in rs[:8]:
         for r2 in r_right:
-            u1 = w_times(base.act(r1))
-            u2 = w_times(base.act(r2))
+            u1 = base.act(r1).scale(w)
+            u2 = base.act(r2).scale(w)
             try:
-                x1 = UElement(
-                    p, q, LocalizedRational(u1.a.value / w, p), _scaled_class(q, u1.beta, 1 / w)
-                )
-                x2 = UElement(
-                    p, q, LocalizedRational(u2.a.value / w, p), _scaled_class(q, u2.beta, 1 / w)
-                )
+                x1 = u1.scale(1 / w)
+                x2 = u2.scale(1 / w)
             except ShapeMismatch:
                 bad += 1
                 continue
@@ -369,12 +352,12 @@ def verify_graph_decomposition(
 
     survived = 0
     tested = 0
-    for rr in sample_relements(p, q, seed=seed)[:12]:
+    for rr in rs[:12]:
         cand = base.act(rr)
         if cand.is_zero():
             continue
         tested += 1
-        if w_times(cand).is_zero():
+        if cand.scale(w).is_zero():
             survived += 1
     checks.append(
         (
@@ -423,16 +406,12 @@ class FiepFailureReport:
 
 
 def fiep_failure_report(p: int = 2, q: int = 3) -> FiepFailureReport:
-    x, y = nonlocal_witness(p, q)
-    cx = endo_is_unit(mult_endo(x, p, q))
-    cy = endo_is_unit(mult_endo(y, p, q))
-    if cx.is_unit or cy.is_unit:
-        raise CertificateFailed("nonlocal witness produced a unit")
+    pair, certificates = certified_witness(p, q)
     return FiepFailureReport(
         p=p,
         q=q,
-        witness_pair=(x, y),
-        certificates=(cx, cy),
+        witness_pair=pair,
+        certificates=certificates,
         verdict="U^2 does not satisfy the finite internal exchange property",
         label="CITED-IMPLICATION",
         citation=CITATION,

@@ -40,10 +40,7 @@ class MultEndo:
     def apply(self, u: UElement) -> UElement:
         if (u.p, u.q) != (self.p, self.q):
             raise ShapeMismatch("element from a different module")
-        return UElement(self.p, self.q, u.a * self.x, u.beta.scale(self.x))
-
-    def compose(self, other: "MultEndo") -> "MultEndo":
-        return MultEndo(self.p, self.q, self.x * other.x)
+        return u.scale(self.x)
 
     def plus(self, other: "MultEndo") -> "MultEndo":
         return MultEndo(self.p, self.q, self.x + other.x)
@@ -52,12 +49,11 @@ class MultEndo:
         return all(self.apply(u) == u for u in samples)
 
 
-def mult_endo(x, p: int, q: int, seed=None) -> MultEndo:
+def mult_endo(x, p: int, q: int) -> MultEndo:
     """Build u ↦ x·u and spot-check R-linearity on a deterministic sample."""
     h = MultEndo(p, q, as_fraction(x))
-    kwargs = {} if seed is None else {"seed": seed}
-    us = sample_uelements(p, q, **kwargs)[:8]
-    rs = sample_relements(p, q, **kwargs)[:8]
+    us = sample_uelements(p, q)[:8]
+    rs = sample_relements(p, q)[:8]
     for u in us:
         for r in rs:
             if h.apply(u.act(r)) != h.apply(u).act(r):
@@ -130,6 +126,12 @@ def nonlocal_witness(p: int, q: int) -> tuple:
     component and y = v·q kills injectivity on the Prüfer component, so
     the non-units of End(U) are not closed under addition.
     """
+    return certified_witness(p, q)[0]
+
+
+def certified_witness(p: int, q: int) -> tuple:
+    """((x, y), (cert_x, cert_y)): the non-local witness pair together
+    with the unit certificates that rule out both members."""
     g, u, v = xgcd(p, q)
     if g != 1:
         raise ShapeMismatch(f"{p} and {q} are not coprime")
@@ -145,7 +147,7 @@ def nonlocal_witness(p: int, q: int) -> tuple:
     samples = sample_uelements(p, q)
     if not ex.plus(ey).is_identity_on(samples):
         raise CertificateFailed("witness pair does not sum to the identity")
-    return x, y
+    return (x, y), (cx, cy)
 
 
 @dataclass(frozen=True)

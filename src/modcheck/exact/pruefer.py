@@ -2,8 +2,8 @@
 
 Every class has a unique representative k/q^n with n ≥ 0, 0 ≤ k < q^n
 and q ∤ k unless k = 0 (in which case n = 0).  Addition, negation, and
-multiplication by elements of ℤ_(q) renormalize back to that form, so
-equality is plain field-by-field comparison.
+multiplication by elements of ℤ_(q) work on the stored integers k mod q^n
+and cancel factors of q, so equality is plain field-by-field comparison.
 """
 
 from __future__ import annotations
@@ -15,27 +15,13 @@ from ..errors import ShapeMismatch
 from .rationals import LocalizedRational, as_fraction
 
 
-def _canonical(q: int, x: Fraction) -> tuple:
-    """(n, k) of the class of x in ℚ/ℤ_(q)."""
-    den = x.denominator
-    n = 0
-    d = 1
-    while den % q == 0:
-        den //= q
-        d *= q
-        n += 1
-    if n == 0:
-        return 0, 0
-    # x = num / (den * q^n) with gcd(den, q) = 1; the class only depends on
-    # num * den^(-1) mod q^n.
-    k = x.numerator * pow(den, -1, d) % d
+def _reduced(q: int, n: int, k: int) -> "PrueferElement":
+    """The class of k/q^n: reduce k mod q^n, then cancel common factors of q."""
+    k %= q**n
     while k and k % q == 0:
         k //= q
-        d //= q
         n -= 1
-    if k == 0:
-        return 0, 0
-    return n, k
+    return PrueferElement(q, n, k) if k else PrueferElement(q, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -55,8 +41,15 @@ class PrueferElement:
 
     @classmethod
     def from_rational(cls, q: int, x) -> "PrueferElement":
-        n, k = _canonical(q, as_fraction(x))
-        return cls(q, n, k)
+        """The class of x; the only place a rational becomes a class."""
+        x = as_fraction(x)
+        den, n = x.denominator, 0
+        while den % q == 0:
+            den //= q
+            n += 1
+        # x = num / (den·q^n) with gcd(den, q) = 1, so the class only
+        # depends on num·den⁻¹ mod q^n.
+        return _reduced(q, n, x.numerator * pow(den, -1, q**n))
 
     @classmethod
     def zero(cls, q: int) -> "PrueferElement":
@@ -75,15 +68,15 @@ class PrueferElement:
     def __add__(self, other: "PrueferElement") -> "PrueferElement":
         if self.q != other.q:
             raise ShapeMismatch("Prüfer elements at different primes")
-        return PrueferElement.from_rational(
-            self.q, self.representative() + other.representative()
-        )
+        n = max(self.n, other.n)
+        q = self.q
+        return _reduced(q, n, self.k * q ** (n - self.n) + other.k * q ** (n - other.n))
 
     def __sub__(self, other: "PrueferElement") -> "PrueferElement":
         return self + (-other)
 
     def __neg__(self) -> "PrueferElement":
-        return PrueferElement.from_rational(self.q, -self.representative())
+        return _reduced(self.q, self.n, -self.k)
 
     def scale(self, c) -> "PrueferElement":
         """Multiply by c ∈ ℤ_(q); well defined since c has no q-denominator."""
@@ -96,4 +89,5 @@ class PrueferElement:
             return self
         if c.denominator % self.q == 0:
             raise ShapeMismatch(f"scaling by {c} is not defined on Q/Z_({self.q})")
-        return PrueferElement.from_rational(self.q, self.representative() * c)
+        inverse = pow(c.denominator, -1, self.q**self.n)
+        return _reduced(self.q, self.n, self.k * c.numerator * inverse)

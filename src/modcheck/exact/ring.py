@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import ShapeMismatch
 from .pruefer import PrueferElement
@@ -95,7 +96,7 @@ class UElement:
     def of(cls, p: int, q: int, a, beta_rational=0) -> "UElement":
         return cls(
             p, q, LocalizedRational(as_fraction(a), p),
-            PrueferElement.from_rational(q, as_fraction(beta_rational)),
+            PrueferElement.from_rational(q, beta_rational),
         )
 
     @classmethod
@@ -121,6 +122,11 @@ class UElement:
     def __neg__(self) -> "UElement":
         return UElement(self.p, self.q, -self.a, -self.beta)
 
+    def scale(self, f) -> "UElement":
+        """f·(a, β) = (f·a, [f·β]); ShapeMismatch when f·a leaves ℤ_(p) or
+        f carries a q-denominator onto a nonzero β."""
+        return UElement(self.p, self.q, self.a * f, self.beta.scale(f))
+
     def act(self, r: RElement) -> "UElement":
         """Right action (a, β)·(a', b', c') = (a·a', [a·b'] + β·c')."""
         if (self.p, self.q) != (r.p, r.q):
@@ -134,10 +140,9 @@ class UElement:
             raise ShapeMismatch("module elements over different prime pairs")
 
 
-def u_action(u: UElement, r: RElement) -> UElement:
-    return u.act(r)
-
-
+# The samples are pure in (p, q, seed, size) and hold frozen values, so a
+# small bounded memo shares them across every case that asks again.
+@lru_cache(maxsize=32)
 def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE_SIZE) -> tuple:
     """Deterministic R sample spanning a range of p- and q-valuations."""
     rng = random.Random(seed)
@@ -156,6 +161,7 @@ def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE
     return tuple(out[:size])
 
 
+@lru_cache(maxsize=32)
 def sample_uelements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE_SIZE) -> tuple:
     """Deterministic U sample spanning a range of p- and q-valuations."""
     rng = random.Random(seed + 1)

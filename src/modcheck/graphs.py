@@ -41,32 +41,22 @@ def _target_rows(ds_component: RepModule, h: ModuleHom):
     raise ShapeMismatch("hom target does not live in the expected component")
 
 
-def graph_of(ds: DirectSum, h: ModuleHom, side: str = "left") -> Submodule:
-    """⟨h⟩ = {a + h(a)} as a submodule of the direct sum.
-
-    side="left": h goes from (a submodule of) the left component into the
-    right one; side="right" is the mirror image.  The result is action
-    closed because h commutes with the action, and Submodule validates
-    that on construction.
+def graph_of(ds: DirectSum, h: ModuleHom) -> Submodule:
+    """⟨h⟩ = {a + h(a)} as a submodule of the direct sum, for h from (a
+    submodule of) the left component into the right one.  The result is
+    action closed because h commutes with the action, and Submodule
+    validates that on construction.
     """
     p = ds.module.field.p
-    if side == "left":
-        src_rows, _ = _source_in(ds.left, h)
-        tgt_rows = _target_rows(ds.right, h)
-        inj_src, inj_tgt = ds.inj1.matrix, ds.inj2.matrix
-    elif side == "right":
-        src_rows, _ = _source_in(ds.right, h)
-        tgt_rows = _target_rows(ds.left, h)
-        inj_src, inj_tgt = ds.inj2.matrix, ds.inj1.matrix
-    else:
-        raise ShapeMismatch("side must be 'left' or 'right'")
-    img_rows = mat_mul(h.matrix, tgt_rows, p)  # intrinsic -> component coords
+    src_rows, _ = _source_in(ds.left, h)
+    # intrinsic -> component coords
+    img_rows = mat_mul(h.matrix, _target_rows(ds.right, h), p)
     rows = tuple(
         tuple(
             (a + b) % p
             for a, b in zip(
-                mat_mul((src_rows[i],), inj_src, p)[0],
-                mat_mul((img_rows[i],), inj_tgt, p)[0],
+                mat_mul((src_rows[i],), ds.inj1.matrix, p)[0],
+                mat_mul((img_rows[i],), ds.inj2.matrix, p)[0],
             )
         )
         for i in range(len(src_rows))
@@ -74,7 +64,7 @@ def graph_of(ds: DirectSum, h: ModuleHom, side: str = "left") -> Submodule:
     return make_submodule(ds.module, rows)
 
 
-def graph_laws(ds: DirectSum, h: ModuleHom, side: str = "left") -> dict:
+def graph_laws(ds: DirectSum, h: ModuleHom) -> dict:
     """The three graph identities, each checked literally on the sum.
 
     kernel_law:   (source copy) ∩ ⟨h⟩ equals Ker h pushed into the sum.
@@ -88,23 +78,16 @@ def graph_laws(ds: DirectSum, h: ModuleHom, side: str = "left") -> dict:
     from .homs import kernel
 
     p = ds.module.field.p
-    graph = graph_of(ds, h, side)
-    if side == "left":
-        src_comp, other_comp = ds.left, ds.right
-        src_copy, other_copy = ds.left_copy(), ds.right_copy()
-        inj_src = ds.inj1
-    else:
-        src_comp, other_comp = ds.right, ds.left
-        src_copy, other_copy = ds.right_copy(), ds.left_copy()
-        inj_src = ds.inj2
-    src_rows, total = _source_in(src_comp, h)
-    ambient_image = mat_mul(h.matrix, _target_rows(other_comp, h), p)
-    epi = rank(ambient_image, p) == other_comp.dim
+    graph = graph_of(ds, h)
+    src_copy, other_copy = ds.left_copy(), ds.right_copy()
+    src_rows, total = _source_in(ds.left, h)
+    ambient_image = mat_mul(h.matrix, _target_rows(ds.right, h), p)
+    epi = rank(ambient_image, p) == ds.right.dim
 
     ker = kernel(h)  # intrinsic coordinates of h's source
     ker_in_comp = mat_mul(ker.basis, src_rows, p) if ker.basis else ()
     ker_in_sum = make_submodule(
-        ds.module, mat_mul(ker_in_comp, inj_src.matrix, p) if ker_in_comp else ()
+        ds.module, mat_mul(ker_in_comp, ds.inj1.matrix, p) if ker_in_comp else ()
     )
     meet = make_submodule(
         ds.module, intersect_rows(src_copy.basis, graph.basis, p)
@@ -168,7 +151,7 @@ def graph_complement(ds: DirectSum, h1: ModuleHom) -> GraphComplement:
     ambient_image = mat_mul(h1.matrix, _target_rows(U, h1), p)
     if rank(ambient_image, p) != U.dim:
         raise NotEpi("h1 must be an epimorphism onto the second component")
-    graph = graph_of(ds, h1, side="left")
+    graph = graph_of(ds, h1)
     complement = ds.right_copy()
     h2 = zero_hom(U, U)
     stacked = graph.basis + complement.basis

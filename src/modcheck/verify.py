@@ -25,7 +25,6 @@ from .errors import ModcheckError
 from .exact import (
     brute_route_scan,
     fiep_failure_report,
-    nonlocal_witness,
     verify_direct_case,
     verify_graph_decomposition,
     verify_partial_case,
@@ -442,11 +441,9 @@ def _checks_localization(cfg: VerifyConfig) -> list:
         )
 
     def witness_check():
-        from .exact import endo_is_unit, mult_endo
-
-        x, y = nonlocal_witness(p, q)  # certificate-checked internally
-        cert_x = endo_is_unit(mult_endo(x, p, q))
-        cert_y = endo_is_unit(mult_endo(y, p, q))
+        report = fiep_failure_report(p, q)
+        x, y = report.witness_pair
+        cert_x, cert_y = report.certificates
         ok = x + y == 1 and not cert_x.is_unit and not cert_y.is_unit
         return ok, {"x": cert_x.to_json(), "y": cert_y.to_json()}
 

@@ -165,6 +165,95 @@ def test_pruefer_scale_respects_localization():
     assert zero.scale(Fraction(1, 3)).is_zero()  # 0 scales by anything
 
 
+# Fraction oracle for the integer arithmetic on k/q^n: every operation must
+# land on the class that from_rational gives for the rational result.
+
+primes_q = st.sampled_from((2, 3, 5, 7))
+
+
+@st.composite
+def q_and_rationals(draw, count):
+    """q and rationals whose denominators carry q^0 .. q^6 times a cofactor."""
+    q = draw(primes_q)
+    xs = [
+        Fraction(
+            draw(st.integers(-(q**7), q**7)),
+            q ** draw(st.integers(0, 6)) * draw(st.integers(1, 12)),
+        )
+        for _ in range(count)
+    ]
+    return (q, *xs)
+
+
+def q_units(q):
+    """c ∈ ℤ_(q): the denominator is coprime to q."""
+    return st.builds(
+        lambda num, j, r: Fraction(num, q * j + r),
+        st.integers(-(q**7), q**7),
+        st.integers(0, 6),
+        st.integers(1, q - 1),
+    )
+
+
+@given(q_and_rationals(2))
+@settings(max_examples=300, deadline=None)
+def test_pruefer_negation_and_difference_match_fractions(args):
+    q, x, y = args
+    a = PrueferElement.from_rational(q, x)
+    b = PrueferElement.from_rational(q, y)
+    assert -a == PrueferElement.from_rational(q, -x)
+    assert a - b == PrueferElement.from_rational(q, x - y)
+    assert a + b == PrueferElement.from_rational(q, x + y)
+
+
+@given(st.data(), q_and_rationals(1))
+@settings(max_examples=300, deadline=None)
+def test_pruefer_scale_matches_fractions(data, args):
+    q, x = args
+    c = data.draw(q_units(q))
+    a = PrueferElement.from_rational(q, x)
+    assert a.scale(c) == PrueferElement.from_rational(q, x * c)
+    assert a.scale(LocalizedRational(c, q)) == a.scale(c)
+
+
+@given(primes_q)
+def test_pruefer_zero_scales_by_anything(q):
+    zero = PrueferElement.zero(q)
+    assert zero.scale(Fraction(1, q)).is_zero()
+    with pytest.raises(ShapeMismatch):
+        PrueferElement.from_rational(q, Fraction(1, q)).scale(Fraction(1, q))
+
+
+def test_pruefer_refuses_non_canonical_pairs():
+    for n, k in ((2, 6), (1, 3), (1, 0), (0, 1), (2, 9), (-1, 0)):
+        with pytest.raises(ShapeMismatch):
+            PrueferElement(3, n, k)
+
+
+@given(st.data(), st.sampled_from(((2, 3), (3, 2), (2, 5), (5, 3))))
+@settings(max_examples=300, deadline=None)
+def test_uelement_scale_matches_fractions_or_refuses(data, pq):
+    p, q = pq
+    a = data.draw(st.fractions(max_denominator=60).filter(lambda v: in_localization(v, p)))
+    beta = Fraction(data.draw(st.integers(0, q**4)), q ** data.draw(st.integers(0, 4)))
+    f = data.draw(q_units(q))
+    u = UElement.of(p, q, a, beta)
+    if in_localization(a * f, p):
+        assert u.scale(f) == UElement.of(p, q, a * f, beta * f)
+    else:
+        with pytest.raises(ShapeMismatch):
+            u.scale(f)
+
+
+def test_uelement_scale_refuses_leaving_the_localizations():
+    with pytest.raises(ShapeMismatch):
+        UElement.generator(2, 3).scale(Fraction(1, 2))  # 1/2 leaves Z_(2)
+    with pytest.raises(ShapeMismatch):
+        UElement.of(2, 3, 0, Fraction(1, 3)).scale(Fraction(1, 3))  # q-denominator on β
+    assert UElement.of(2, 3, 2).scale(Fraction(1, 2)) == UElement.generator(2, 3)
+    assert UElement.of(2, 3, 0).scale(Fraction(1, 3)).is_zero()
+
+
 # -- the ring R and the module U ----------------------------------------------
 
 

@@ -1,0 +1,71 @@
+"""Byte-level pins on the exact backend's certificates.
+
+The digests below were recorded before the Prüfer arithmetic moved from
+`Fraction` round trips to integer pairs k/q^n; any change to a verdict,
+a witness or a check's detail string changes them.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from modcheck.cli import main
+from modcheck.exact import (
+    fiep_failure_report,
+    valuation,
+    verify_direct_case,
+    verify_graph_decomposition,
+    verify_partial_case,
+)
+
+# per (p, q): x in Z_(p) ∩ Z_(q) (direct case), then x with v_q(x) < 0
+# (partial case plus the graph decomposition)
+CASE_XS = {
+    (2, 3): ("1", "0", "3/5", "7/5", "-9/7", "4/3", "10/9", "8/3", "-5/27"),
+    (3, 2): ("1", "2/5", "-6/7", "3/2", "9/4", "-5/8", "7/16"),
+    (2, 5): ("1", "3/7", "10/3", "4/5", "3/25", "-6/5", "8/125"),
+    (5, 3): ("1", "5/7", "-3/2", "5/3", "2/9", "25/27", "-7/3"),
+}
+
+# sha256 of json.dumps(docs, sort_keys=True), docs = the case reports of
+# CASE_XS[(p, q)] in order, then fiep_failure_report(p, q)
+CASE_DIGESTS = {
+    (2, 3): "e6ba423ef84a025a005633ccdf8be7160861b1fd13be79bf66b4d593217058e9",
+    (3, 2): "a1c387f9dbb3202f99028eb48597dc8a4abf46591089c5d381112f5421608a3f",
+    (2, 5): "dc8e3d88c22b32982bcdd7d3f200d9ef8b29caa52b86d6bdf57e9ca8acae386b",
+    (5, 3): "851ae3b6dfda63bbeb3e0d36b2e082d5a8eb98d75ad8e2a1810716770afa90a6",
+}
+
+# sha256 of the stdout of `modcheck exact` (defaults: p = 2, q = 3)
+EXACT_CLI_DIGEST = "ee418f46f3f97e51b2de2e37ebcf02ed9adbba3d98f6c65e3d9d019c4917bfd5"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _case_docs(p, q):
+    docs = []
+    for raw in CASE_XS[(p, q)]:
+        x = Fraction(raw)
+        if x != 0 and valuation(x, q) < 0:
+            reports = (verify_partial_case(x, p, q), verify_graph_decomposition(x, p, q))
+        else:
+            reports = (verify_direct_case(x, p, q),)
+        docs += [r.to_json() for r in reports]
+    docs.append(fiep_failure_report(p, q).to_json())
+    return docs
+
+
+@pytest.mark.parametrize("pq", sorted(CASE_XS), ids=lambda pq: f"p={pq[0]},q={pq[1]}")
+def test_case_report_digests(pq):
+    docs = _case_docs(*pq)
+    assert all(d["verdict"] is True for d in docs[:-1])
+    assert _digest(json.dumps(docs, sort_keys=True)) == CASE_DIGESTS[pq]
+
+
+def test_exact_cli_digest(capsys):
+    assert main(["exact"]) == 0
+    assert _digest(capsys.readouterr().out) == EXACT_CLI_DIGEST
