@@ -16,6 +16,12 @@ inclusion a subset test and intersection a bitwise AND plus one dictionary
 lookup.  The lattice order is by (dimension, basis), so indices are stable
 across runs.
 
+The N×N containment matrix that the Hasse diagram is read from is kept as
+``containment``.  join reads a row of the join table, built from that
+matrix on first use: row i holds, for every j, the first member above both
+i and j, which is their sum because members are sorted by dimension.
+Whole arrays of joins are one gather from the same rows (``joins``).
+
 The lattice is the per-module context of every scan: besides the order it
 keeps the data the scans share (maximal and minimal members, radical and
 socle, direct summands with their complements), each computed on first
@@ -49,7 +55,8 @@ class SubmoduleLattice:
     hasse_edges: tuple  # (i, j) with member i covered by member j
     _index_by_basis: dict = dc_field(compare=False, repr=False, default=None)
     _index_by_bits: dict = dc_field(compare=False, repr=False, default=None)
-    _join_cache: dict = dc_field(compare=False, repr=False, default_factory=dict)
+    # containment[i, j]: is member i contained in member j?
+    containment: np.ndarray = dc_field(compare=False, repr=False, default=None)
 
     def __len__(self):
         return len(self.members)
@@ -67,7 +74,7 @@ class SubmoduleLattice:
 
     def leq(self, i: int, j: int) -> bool:
         """Is member i contained in member j?"""
-        return self.bits[i] & ~self.bits[j] == 0
+        return bool(self.containment[i, j])
 
     def meet(self, i: int, j: int) -> int:
         """Index of the intersection (the AND of the point sets)."""
@@ -75,22 +82,18 @@ class SubmoduleLattice:
 
     def join(self, i: int, j: int) -> int:
         """Index of the sum: the smallest member containing both."""
-        if i > j:
-            i, j = j, i
-        cached = self._join_cache.get((i, j))
-        if cached is not None:
-            return cached
-        union = self.bits[i] | self.bits[j]
-        # Members are sorted by dimension, the join has dim >= both inputs,
-        # and the smallest member containing the union is unique (it is the
-        # sum), so the first containing member at index >= j is the join.
-        result = self.full_index
-        for k in range(j, len(self.members)):
-            if union & ~self.bits[k] == 0:
-                result = k
-                break
-        self._join_cache[(i, j)] = result
-        return result
+        return int(self.joins(i, j))
+
+    def joins(self, i, j) -> np.ndarray:
+        """Indices of the sums of members i and j, elementwise over arrays."""
+        i = np.asarray(i)
+        table = self._join_table
+        leq = self.containment
+        # the first member above both is the sum: every other upper bound
+        # contains the sum, so it has larger dimension and a later index
+        for r in np.unique(i[table[i, 0] < 0]):
+            table[r] = np.argmax(leq & leq[r], axis=1)
+        return table[i, j]
 
     def maximal_indices(self) -> tuple:
         return self._maximal
@@ -125,6 +128,12 @@ class SubmoduleLattice:
     def summand_indices(self) -> tuple:
         """Indices of all direct summands, ascending canonical order."""
         return self._summands
+
+    @cached_property
+    def _join_table(self) -> np.ndarray:
+        # rows are filled on first use; join(i, 0) = i, so -1 there marks a
+        # row not built yet
+        return np.full((len(self.members),) * 2, -1, dtype=np.int64)
 
     @cached_property
     def _maximal(self) -> tuple:
@@ -292,7 +301,7 @@ def enumerate_submodules(
     # strict containment with something in between, via one boolean product;
     # covers are the strict containments without a middle member
     proper = leq & ~np.eye(N, dtype=bool)
-    through = (proper.astype(np.uint8) @ proper.astype(np.uint8)) > 0
+    through = proper @ proper
     covers = proper & ~through
     edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))]
 
@@ -303,4 +312,5 @@ def enumerate_submodules(
         hasse_edges=tuple(sorted(edges)),
         _index_by_basis={s.basis: i for i, s in enumerate(members)},
         _index_by_bits={b: i for i, b in enumerate(bits)},
+        containment=leq,
     )

@@ -9,8 +9,10 @@ an exact integer determinant.  They exist to pin golden values and to
 back the agreement tests; they are only expected to be fast on the
 small corpus instances (dims ≤ 4, p ∈ {2, 3}).
 
-The exchange oracles are the literal scans the engine's memoized search
-replaces: every tuple of a product, filtered afterwards.
+The exchange oracles are the literal scans the engine's table lookups
+replace: every tuple of a product, filtered afterwards, with containment
+and sums taken from the point sets (brute_join), not from the engine's
+containment matrix or join table.
 """
 
 from __future__ import annotations
@@ -200,43 +202,80 @@ def brute_is_local(matrices, p: int, dim: int) -> bool:
     return True
 
 
-def _direct_join(lat, dims: list, start: int, rest) -> int | None:
+def brute_join(lat, i: int, j: int) -> int:
+    """The sum of members i and j, by a scan of the point sets: members are
+    ordered by dimension, so the first one whose point set contains the
+    union is the smallest submodule containing both."""
+    bits = lat.bits
+    union = bits[i] | bits[j]
+    return next(k for k in range(max(i, j), len(bits)) if union | bits[k] == bits[k])
+
+
+class PointSetTables:
+    """Dimensions, members below each member and sums of one lattice, read
+    off its point sets on first use and then remembered.  Callers that run
+    the exchange oracles over many pairs of one lattice create one and
+    pass it to each call."""
+
+    def __init__(self, lat):
+        self.lat = lat
+        self.dims = [m.dim for m in lat.members]
+        self._below = {}
+        self._joins = {}
+
+    def below(self, j: int) -> list:
+        if j not in self._below:
+            bits = self.lat.bits
+            self._below[j] = [m for m, b in enumerate(bits) if b | bits[j] == bits[j]]
+        return self._below[j]
+
+    def join(self, i: int, j: int) -> int:
+        if (i, j) not in self._joins:
+            self._joins[(i, j)] = brute_join(self.lat, i, j)
+        return self._joins[(i, j)]
+
+
+def _direct_join(tables, start: int, rest) -> int | None:
     """Fold joins over ``rest``; None as soon as dimensions stop adding up."""
+    dims = tables.dims
     acc = start
     acc_dim = dims[start]
     for i in rest:
-        acc = lat.join(acc, i)
+        acc = tables.join(acc, i)
         acc_dim += dims[i]
         if dims[acc] != acc_dim:
             return None
     return acc
 
 
-def brute_decompositions(lat, n: int) -> tuple:
+def brute_decompositions(lat, n: int, tables: PointSetTables | None = None) -> tuple:
     """Ordered n-part internal direct sums of the lattice's module, as index
     tuples: every n-tuple of nonzero summands, kept when its dimensions add
     up to the module's and its running joins are direct."""
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
-    dims = [m.dim for m in lat.members]
+    tables = tables or PointSetTables(lat)
+    dims = tables.dims
     candidates = [i for i in lat.summand_indices() if dims[i] > 0]
     return tuple(
         idxs
         for idxs in product(candidates, repeat=n)
-        if sum(dims[i] for i in idxs) == dim
-        and _direct_join(lat, dims, idxs[0], idxs[1:]) is not None
+        if sum(map(dims.__getitem__, idxs)) == dim
+        and _direct_join(tables, idxs[0], idxs[1:]) is not None
     )
 
 
-def brute_exchange_choice(lat, x: int, decomp: tuple) -> tuple | None:
+def brute_exchange_choice(
+    lat, x: int, decomp: tuple, tables: PointSetTables | None = None
+) -> tuple | None:
     """First tuple (M_i' ≤ M_i) in product order with M = X ⊕ (⊕ M_i'), or None."""
-    dims = [m.dim for m in lat.members]
+    tables = tables or PointSetTables(lat)
+    dims = tables.dims
     need = lat.module.dim - dims[x]
-    below = [[m for m in range(len(lat.members)) if lat.leq(m, part)] for part in decomp]
-    for choice in product(*below):
-        if sum(dims[m] for m in choice) != need:
+    for choice in product(*map(tables.below, decomp)):
+        if sum(map(dims.__getitem__, choice)) != need:
             continue
-        if _direct_join(lat, dims, x, choice) is not None:
+        if _direct_join(tables, x, choice) is not None:
             return choice
     return None

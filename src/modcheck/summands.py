@@ -5,24 +5,32 @@ A member X of the lattice is a direct summand when some member Y has
 X ∩ Y = 0 and X + Y = M; over a field both conditions reduce to one
 dimension count plus one intersection bitset test.  Decompositions are
 ordered tuples of nonzero parts whose stacked bases have full rank; they
-are enumerated by a depth-first walk that drops a prefix as soon as its
-sum stops being direct or its dimension overshoots.
+are enumerated one part at a time over arrays of prefixes, dropping a
+prefix as soon as its sum stops being direct or its dimension overshoots.
 
 fiep_scan is an exhaustive scan: for every summand X and every
 decomposition M = ⊕ M_i it finds submodules M_i' ≤ M_i making
 M = X ⊕ (⊕ M_i').  The witness is the first such tuple in product order,
-found by a depth-first search over running direct sums that is memoized
-on (running sum, parts left) within one scan; it is the tuple the literal
-product scan (oracles.brute_exchange_choice) returns.  On finite-length
-modules the scan must come back true (exchange follows from local
-endomorphism rings of the indecomposable pieces), so a false verdict here
-flags an implementation bug, not a mathematical discovery.
+the tuple the literal product scan (oracles.brute_exchange_choice)
+returns.  It is read from tables rather than searched for: the lattice's
+containment matrix and join rows give every running sum J of the parts
+chosen so far, and a per-call table gives the first complement of J
+below the last part.  Product order compares all parts but the last
+before the last one, so the first prefix choice (in product order) that
+has such a complement, completed by the first complement, is the first
+tuple.  On finite-length modules the scan must come back true (exchange
+follows from local endomorphism rings of the indecomposable pieces), so a
+false verdict here flags an implementation bug, not a mathematical
+discovery.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import ShapeMismatch
 from .lattice import SubmoduleLattice, lattice_of
@@ -31,6 +39,9 @@ from .modules import RepModule, Submodule
 
 DECOMP_SAMPLE_CAP = 10**4
 FIEP_WITNESS_LIMIT = 100
+# rows × columns of the largest boolean or index array one array pass
+# builds, so memory stays flat however many decompositions a family has
+PASS_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,36 +96,37 @@ def all_decompositions(M: RepModule, n: int) -> tuple:
 def _decomposition_index_tuples(lat: SubmoduleLattice, n: int) -> tuple:
     """Ordered n-part decompositions as index tuples, in lexicographic order.
 
-    A depth-first walk over the nonzero summands extends a prefix only
-    while its join stays direct (dim(A + B) = dim A + dim B exactly when
-    the sum is direct) and its dimension leaves room for the parts still
-    to come, so it yields the tuples of product(candidates, repeat=n)
-    that pass both tests, in the same order, without visiting the rest.
+    The prefixes grow one part at a time over the nonzero summands; a
+    prefix is kept only while its join stays direct (dim(A + B) = dim A +
+    dim B exactly when the sum is direct) and its dimension leaves room for
+    the parts still to come.  Each step extends every kept prefix by every
+    candidate in one array pass, row by row, so the result is the tuples of
+    product(candidates, repeat=n) that pass both tests, in the same order.
     """
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
-    # members are sorted by dimension, so candidates are too
-    candidates = [i for i in lat.summand_indices() if lat.members[i].dim > 0]
-    dims = [m.dim for m in lat.members]
-    out = []
-
-    def extend(prefix: tuple, acc: int, acc_dim: int) -> None:
-        left = n - len(prefix) - 1  # parts still to place after this one
-        for i in candidates:
-            d = acc_dim + dims[i]
-            if d + left > dim:
-                break
-            j = lat.join(acc, i)
-            if dims[j] != d:
-                continue
-            if left:
-                extend(prefix + (i,), j, d)
-            elif d == dim:
-                out.append(prefix + (i,))
-
-    extend((), lat.zero_index, 0)
-    return tuple(out)
+    dims = np.array([m.dim for m in lat.members])
+    candidates = np.array([i for i in lat.summand_indices() if dims[i] > 0], dtype=np.int64)
+    step = max(1, PASS_CELLS // max(1, len(candidates)))  # prefixes per array pass
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    acc = np.array([lat.zero_index])
+    acc_dim = np.zeros(1, dtype=np.int64)
+    for left in range(n - 1, -1, -1):  # parts still to place after this one
+        kept = []
+        for lo in range(0, len(acc), step):
+            d = acc_dim[lo : lo + step, None] + dims[candidates][None, :]
+            rows, cols = np.nonzero(d == dim if left == 0 else d + left <= dim)
+            d = d[rows, cols]
+            joined = lat.joins(acc[lo + rows], candidates[cols])
+            direct = dims[joined] == d
+            rows, cols = lo + rows[direct], cols[direct]
+            grown = np.column_stack([prefixes[rows], candidates[cols]])
+            kept.append((grown, joined[direct], d[direct]))
+        if not kept:
+            return ()
+        prefixes, acc, acc_dim = (np.concatenate(a) for a in zip(*kept))
+    return tuple(map(tuple, prefixes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -183,15 +195,16 @@ def fiep_scan(
     Every (summand X, decomposition M = ⊕ M_i) pair is checked, and its
     witness is the first tuple (M_i') in product order over the members
     below each M_i with M = X ⊕ (⊕ M_i').  A tuple qualifies exactly when
-    each running sum X + M_1' + … + M_k' is direct and the last one is M,
-    so a depth-first search that extends the running sum J by one M_i' at
-    a time, skipping any M_i' that meets J, returns that same first
-    tuple.  What remains to be found depends only on J and the parts still
-    to fill, so the search below the top level is memoized on that pair
-    and shared by every pair of the scan.  The tables live for this call
-    only.
+    each running sum J = X + M_1' + … + M_k' is direct and the last part
+    M_n' is a complement of J, so the witness is read from two tables
+    built once per call: which members are disjoint, and F[J, B], the
+    first complement of J below B.  For each decomposition prefix the
+    valid prefix choices are listed in product order with their running
+    sums; the first one with F[J, M_n] defined, completed by F[J, M_n],
+    is the first qualifying tuple, because product order compares the
+    prefix before the last part.
     """
-    decomp_families = []
+    families = []
     sampled = False
     for n in range(1, n_max + 1):
         family = list(_decomposition_index_tuples(lat, n))
@@ -199,50 +212,142 @@ def fiep_scan(
             rng = random.Random(seed)
             family = rng.sample(family, sample_cap)
             sampled = True
-        decomp_families.append(family)
+        families.append(family)
 
-    bits = lat.bits
-    full = lat.full_index
-    below = {}  # part -> members contained in it, ascending
-    steps = {}  # (J, part) -> ((m, J + m) for m ≤ part with J ∩ m = 0)
-    memo = {}  # (J, parts) -> first choice completing J over parts, or None
-    interned = {}  # equal choice tuples share one object
-    unseen = object()
+    leq = lat.containment
+    dims = np.array([m.dim for m in lat.members])
+    # a nonzero intersection contains an atom
+    atoms = leq[list(lat.atom_indices())]
+    disjoint = ~(atoms.T @ atoms)
+    complement = disjoint & (dims[:, None] + dims[None, :] == lat.module.dim)
+    lasts = sorted({d[-1] for family in families for d in family})
+    column = {b: k for k, b in enumerate(lasts)}
+    # F[J, column of B]: the first complement of J below B, or -1
+    F = np.full((len(dims), len(lasts)), -1, dtype=np.int64)
+    for J in np.flatnonzero(complement.any(axis=1)):
+        comps = np.flatnonzero(complement[J])
+        inside = leq[np.ix_(comps, lasts)]
+        F[J] = np.where(inside.any(axis=0), comps[inside.argmax(axis=0)], -1)
 
-    def extensions(J: int, part: int) -> tuple:
-        key = (J, part)
-        out = steps.get(key)
-        if out is None:
-            if part not in below:
-                below[part] = [m for m in range(len(lat.members)) if lat.leq(m, part)]
-            out = steps[key] = tuple(
-                (m, lat.join(J, m)) for m in below[part] if bits[J] & bits[m] == 1
-            )
-        return out
+    below_count = leq.sum(axis=0)
+    layouts = [
+        _blocks(family, n, column, below_count) for n, family in enumerate(families, start=1)
+    ]
 
-    def first(J: int, parts: tuple):
-        rest = parts[1:]
-        for m, Jm in extensions(J, parts[0]):
-            if rest:
-                tail = memo.get((Jm, rest), unseen)
-                if tail is unseen:
-                    tail = memo[(Jm, rest)] = first(Jm, rest)
-            else:
-                tail = () if Jm == full else None
-            if tail is not None:
-                return (m,) + tail
-        return None
-
+    # witnesses in scan order, up to the first pair without a choice, which
+    # ends the scan
     witnesses = []
-    pairs = 0
-    for x in lat.summand_indices():
-        for family in decomp_families:
-            for decomp in family:
-                pairs += 1
-                choice = first(x, decomp)
-                if choice is None:
-                    return FiepReport(
-                        False, n_max, pairs, tuple(witnesses), sampled, seed, (x, decomp)
-                    )
-                witnesses.append((x, decomp, interned.setdefault(choice, choice)))
-    return FiepReport(True, n_max, pairs, tuple(witnesses), sampled, seed, None)
+    tuples = _ChoiceTuples(len(dims), n_max)
+    failure = None
+    scan = product(lat.summand_indices(), zip(range(1, n_max + 1), families, layouts))
+    for x, (n, family, layout) in scan:
+        if not family:
+            continue
+        choice = np.empty((len(family), n), dtype=np.int64)
+        for ks, *block in layout:
+            choice[ks] = _first_choices(lat, x, *block, disjoint, F)
+        ok = choice[:, -1] >= 0
+        stop = len(family) if ok.all() else int(np.argmin(ok))
+        witnesses.extend(zip([x] * stop, family, tuples.of(choice[:stop])))
+        if stop < len(family):
+            failure = (x, family[stop])
+            break
+    pairs = len(witnesses) + (failure is not None)
+    return FiepReport(
+        failure is None, n_max, pairs, tuple(witnesses), sampled, seed, failure
+    )
+
+
+class _ChoiceTuples:
+    """Choice tuples, each distinct one built once per scan and shared by
+    every witness that makes that choice.
+
+    A row's key is the integer with digits c + 1 in base N + 1, so rows of
+    any length have distinct keys; keys that could pass int64 are Python
+    integers.  ``known`` holds the keys seen so far, sorted, and ``ids``
+    the position of each one's tuple in ``tuples``.  New keys are merged in
+    with numpy, so a witness costs no Python work beyond its list entry.
+    """
+
+    def __init__(self, members: int, n_max: int):
+        self.radix = members + 1
+        key_type = np.int64 if self.radix**n_max < 2**63 else object
+        self.known = np.zeros(0, dtype=key_type)
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.tuples = []
+
+    def of(self, rows: np.ndarray):
+        """The tuples of ``rows``, in order."""
+        key_type = self.known.dtype
+        weights = np.array([self.radix**t for t in range(rows.shape[1])], dtype=key_type)
+        keys = (rows + 1).astype(key_type) @ weights
+        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        pos = np.searchsorted(self.known, unique)
+        seen = pos < len(self.known)
+        seen[seen] = self.known[pos[seen]] == unique[seen]
+        ids = np.empty(len(unique), dtype=np.int64)
+        ids[seen] = self.ids[pos[seen]]
+        ids[~seen] = np.arange(len(self.tuples), len(self.tuples) + int((~seen).sum()))
+        self.tuples += map(tuple, rows[first[~seen]].tolist())
+        known = np.concatenate([self.known, unique[~seen]])
+        order = np.argsort(known, kind="stable")
+        self.known = known[order]
+        self.ids = np.concatenate([self.ids, ids[~seen]])[order]
+        return map(self.tuples.__getitem__, ids[inverse].tolist())
+
+
+def _blocks(family: list, n: int, column: dict, below_count: np.ndarray) -> list:
+    """The family's distinct prefixes (all parts but the last), cut into
+    blocks of whole prefixes for _first_choices.
+
+    Each block is (positions of its decompositions in the family, its
+    prefixes, each decomposition's prefix row, each last part's column).
+    Choices below independent parts have distinct sums, so a prefix has at
+    most N valid choices, and at most the product of its parts' lattice
+    sizes; a block's bounds times N stay within PASS_CELLS unless it is a
+    single prefix.
+    """
+    prefix_row = {}
+    group = np.array([prefix_row.setdefault(d[:-1], len(prefix_row)) for d in family])
+    prefixes = np.array(list(prefix_row), dtype=np.int64).reshape(len(prefix_row), n - 1)
+    col = np.array([column[d[-1]] for d in family], dtype=np.int64)
+    states = below_count[prefixes].prod(axis=1)
+    block = (np.cumsum(states) - states) * len(below_count) // PASS_CELLS
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    blocks = []
+    for lo, hi in zip(starts, [*starts[1:], len(prefixes)]):
+        ks = np.flatnonzero((group >= lo) & (group < hi))
+        blocks.append((ks, prefixes[lo:hi], group[ks] - lo, col[ks]))
+    return blocks
+
+
+def _first_choices(lat, x, prefixes, group, col, disjoint, F) -> np.ndarray:
+    """Witness rows of (x, d) for the decompositions d of one block.
+
+    The k-th decomposition has the prefix ``prefixes[group[k]]`` and its
+    last part in column ``col[k]`` of F.  Row k is its first tuple in
+    product order, or ends in -1 when there is none.  The valid choices for
+    the parts of every prefix are listed at once, grouped by prefix and in
+    product order within a group, with their running sums J; the first one
+    whose F[J, last part] is defined gives the row.
+    """
+    owner = np.arange(len(prefixes))
+    J = np.full(len(prefixes), x)
+    chosen = np.zeros((len(prefixes), 0), dtype=np.int64)
+    for t in range(prefixes.shape[1]):
+        s, m = np.nonzero(lat.containment[:, prefixes[owner, t]].T & disjoint[J])
+        owner, J = owner[s], lat.joins(J[s], m)
+        chosen = np.column_stack([chosen[s], m])
+    # per (prefix, last part): the first state whose F entry is defined
+    start = np.searchsorted(owner, np.arange(len(prefixes)))
+    some = start < np.append(start[1:], len(owner))
+    rank = np.where(F[J] >= 0, np.arange(len(J))[:, None], len(J))
+    first = np.full((len(prefixes), F.shape[1]), len(J))
+    if some.any():
+        first[some] = np.minimum.reduceat(rank, start[some], axis=0)
+    state = first[group, col]
+    ok = state < len(J)
+    out = np.full((len(group), prefixes.shape[1] + 1), -1, dtype=np.int64)
+    out[ok, :-1] = chosen[state[ok]]
+    out[ok, -1] = F[J[state[ok]], col[ok]]
+    return out

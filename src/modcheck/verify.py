@@ -14,6 +14,7 @@ deterministic for a fixed config up to the duration fields.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -440,8 +441,12 @@ def _checks_localization(cfg: VerifyConfig) -> list:
             )
         )
 
+    # one failure report serves both checks below; an error while building
+    # it is not cached, so it still fails each check on its own
+    failure_report = functools.cache(lambda: fiep_failure_report(p, q))
+
     def witness_check():
-        report = fiep_failure_report(p, q)
+        report = failure_report()
         x, y = report.witness_pair
         cert_x, cert_y = report.certificates
         ok = x + y == 1 and not cert_x.is_unit and not cert_y.is_unit
@@ -454,7 +459,7 @@ def _checks_localization(cfg: VerifyConfig) -> list:
     )
 
     def failure_check():
-        report = fiep_failure_report(p, q)
+        report = failure_report()
         doc = report.to_json()
         ok = (
             "does not satisfy the finite internal exchange property"

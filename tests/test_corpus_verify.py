@@ -129,6 +129,28 @@ def test_manifest_is_deterministic_modulo_durations():
     assert ids == sorted(ids)
 
 
+def test_localization_checks_share_one_failure_report(monkeypatch):
+    import modcheck.verify as verify
+
+    built = []
+    real = verify.fiep_failure_report
+
+    def counted(p, q):
+        built.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(verify, "fiep_failure_report", counted)
+    manifest = verify_claims(VerifyConfig(only=("localization-counterexample",)))
+    assert manifest.passed and built == [(2, 3)]
+    digests = {c.check_id: c.witness_digest for c in manifest.checks}
+    assert digests["localization-counterexample/nonlocal-witness"] == (
+        "e9082ed2e51d1045b13d759c4b341b790988f2ef519c9ebdeaecc4f70ae098c5"
+    )
+    assert digests["localization-counterexample/exchange-failure"] == (
+        "3a2b92993d1eb318cf939c12a6edc4520d80cf55a581f5dace1fbb63e76e73d5"
+    )
+
+
 def test_manifest_attaches_witnesses_only_on_failure():
     cfg = VerifyConfig(cap_dim=2, only=("running-example",))
     manifest = verify_claims(cfg)

@@ -1,11 +1,18 @@
-"""The memoized exchange scan against the literal product scans in oracles."""
+"""The table-lookup exchange scan against the literal product scans in oracles."""
 
+import dataclasses
+import hashlib
 import random
+from itertools import chain
+from operator import itemgetter
 
+import numpy as np
 import pytest
+from helpers import rebased
 
-from modcheck.lattice import lattice_of
-from modcheck.oracles import brute_decompositions, brute_exchange_choice
+from modcheck.lattice import enumerate_submodules, lattice_of
+from modcheck.oracles import PointSetTables, brute_decompositions, brute_exchange_choice
+from modcheck import summands
 from modcheck.summands import (
     DECOMP_SAMPLE_CAP,
     FiepReport,
@@ -97,10 +104,11 @@ EXCHANGE_DIGESTS = {
 
 def oracle_report(lat, n_max=3, seed=1789, sample_cap=DECOMP_SAMPLE_CAP) -> FiepReport:
     """The exchange scan rebuilt from the oracles, pair by pair."""
+    tables = PointSetTables(lat)
     families = []
     sampled = False
     for n in range(1, n_max + 1):
-        family = list(brute_decompositions(lat, n))
+        family = list(brute_decompositions(lat, n, tables))
         if n >= 3 and len(family) > sample_cap:
             family = random.Random(seed).sample(family, sample_cap)
             sampled = True
@@ -111,7 +119,7 @@ def oracle_report(lat, n_max=3, seed=1789, sample_cap=DECOMP_SAMPLE_CAP) -> Fiep
         for family in families:
             for decomp in family:
                 pairs += 1
-                choice = brute_exchange_choice(lat, x, decomp)
+                choice = brute_exchange_choice(lat, x, decomp, tables)
                 if choice is None:
                     return FiepReport(
                         False, n_max, pairs, tuple(witnesses), sampled, seed, (x, decomp)
@@ -138,13 +146,109 @@ def test_fiep_scan_matches_the_oracle_report(fixtures):
         assert fiep_scan(lat) == oracle_report(lat), fx.name
 
 
-def test_fiep_scan_witnesses_on_the_largest_square(fixtures_by_name):
+# witness_digest of all 962,390 witnesses of fiep_scan(chain_f3_k4_sq) at the
+# defaults, recorded from the memoized search the table lookups replaced
+LARGEST_SQUARE_WITNESS_SHA256 = "075f2444976ab69d41807c10e3299398b84745982d72d38666c15485e4eb7375"
+
+
+def witness_digest(witnesses) -> str:
+    """sha256 over the summands, then the lengths and entries of the
+    decompositions, then those of the choices."""
+    column = [tuple(map(itemgetter(k), witnesses)) for k in range(3)]
+    h = hashlib.sha256(np.array(column[0], dtype=np.int64).tobytes())
+    for tuples in column[1:]:
+        h.update(np.fromiter(map(len, tuples), dtype=np.int64).tobytes())
+        h.update(np.fromiter(chain.from_iterable(tuples), dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def largest_square(fixtures_by_name):
     lat = lattice_of(fixtures_by_name["chain_f3_k4_sq"].module)
-    rep = fiep_scan(lat)
+    return lat, fiep_scan(lat)
+
+
+def test_fiep_scan_witnesses_on_the_largest_square(largest_square):
+    lat, rep = largest_square
     assert rep.verdict and not rep.sampled and rep.failure is None
     assert rep.pairs_checked == len(rep.witnesses) == 962390
+    tables = PointSetTables(lat)
     for x, decomp, choice in rep.witnesses[::1000]:
-        assert choice == brute_exchange_choice(lat, x, decomp), (x, decomp)
+        assert choice == brute_exchange_choice(lat, x, decomp, tables), (x, decomp)
+
+
+def test_every_witness_on_the_largest_square_is_pinned(largest_square):
+    _, rep = largest_square
+    assert witness_digest(rep.witnesses) == LARGEST_SQUARE_WITNESS_SHA256
+    # equal choices share one tuple object
+    choices = list(map(itemgetter(2), rep.witnesses))
+    assert len(set(map(id, choices))) == len(set(choices)) == 8969
+
+
+@pytest.mark.parametrize("settings", [{}, {"n_max": 4, "sample_cap": 2}])
+def test_fiep_scan_matches_the_oracle_report_on_basis_changes(fixtures, settings):
+    # one seeded P^-1 A P per corpus module; n_max=4 with sample_cap=2
+    # subsamples the 3-part family of semisimple3_f2
+    rng = np.random.default_rng(2006)
+    sampled = []
+    for fx in fixtures:
+        if fx.name == "chain_f3_k4_sq":
+            continue  # 962,390 literal searches
+        lat = enumerate_submodules(rebased(fx.module, rng))
+        rep = fiep_scan(lat, **settings)
+        assert rep == oracle_report(lat, **settings), fx.name
+        if rep.sampled:
+            sampled.append(fx.name)
+    assert sampled == (["semisimple3_f2"] if settings else [])
+
+
+def test_first_pair_without_a_choice_ends_the_scan(fixtures_by_name, monkeypatch):
+    # no finite-length module fails the exchange scan, so one pair's choice
+    # is taken away to reach the failure path
+    lat = lattice_of(fixtures_by_name["chain_f2_k3_sq"].module)
+    full = fiep_scan(lat)
+    k = len(full.witnesses) // 2
+    x, decomp, _ = full.witnesses[k]
+    position = _decomposition_index_tuples(lat, len(decomp)).index(decomp)
+    real = summands._first_choices
+
+    def without_choice(lat_, x_, *block):
+        rows = real(lat_, x_, *block)
+        if x_ == x and rows.shape[1] == len(decomp):
+            rows[position] = -1
+        return rows
+
+    monkeypatch.setattr(summands, "_first_choices", without_choice)
+    assert fiep_scan(lat) == FiepReport(
+        False, 3, k + 1, full.witnesses[:k], False, 1789, (x, decomp)
+    )
+
+
+@pytest.mark.parametrize("members_per_pass", [0, 4])
+@pytest.mark.parametrize(
+    "name, settings",
+    [("chain_f3_k3_sq", {}), ("semisimple3_f2", {"n_max": 4, "sample_cap": 5})],
+)
+def test_array_passes_cut_small_give_the_same_scan(
+    fixtures_by_name, monkeypatch, name, settings, members_per_pass
+):
+    # a budget of 1 cell puts every prefix in a block of its own and every
+    # decomposition prefix in an array pass of its own; 4 lattice sizes put
+    # a few prefixes in each block
+    lat = lattice_of(fixtures_by_name[name].module)
+    whole = [_decomposition_index_tuples(lat, n) for n in (2, 3, 4)]
+    rep = fiep_scan(lat, **settings)
+    monkeypatch.setattr(summands, "PASS_CELLS", max(1, members_per_pass * len(lat)))
+    assert [_decomposition_index_tuples(lat, n) for n in (2, 3, 4)] == whole
+    assert fiep_scan(lat, **settings) == rep
+
+
+def test_choice_keys_past_int64_give_the_same_report(fixtures_by_name):
+    # 9 ** 20 > 2 ** 63, so the choice keys of this 8-member lattice are
+    # Python integers; every family past 3 parts is empty
+    lat = lattice_of(fixtures_by_name["semisimple3_f2"].module)
+    assert (len(lat) + 1) ** 20 >= 2**63
+    assert fiep_scan(lat, n_max=20) == dataclasses.replace(fiep_scan(lat), n_max=20)
 
 
 @pytest.mark.parametrize("n_max", [3, 4])

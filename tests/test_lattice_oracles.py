@@ -6,13 +6,11 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from helpers import point_set
+from helpers import point_set, rebased
 
 from modcheck import lattice, oracles
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import TooLarge
-from modcheck.linalg import inverse, mat_mul
-from modcheck.modules import RepModule
 from modcheck.properties import lattice_of, property_report
 from modcheck.verify import VerifyConfig, verify_claims
 
@@ -160,18 +158,6 @@ def test_lattice_json_is_pinned_on_every_fixture(fixtures):
         assert hashlib.sha256(doc.encode()).hexdigest() == LATTICE_JSON_SHA256[fx.name], fx.name
 
 
-def _rebased(M, rng):
-    """M in a seeded random basis: actions P A P^-1 for an invertible P."""
-    p, n = M.field.p, M.dim
-    while True:
-        P = tuple(map(tuple, rng.integers(0, p, size=(n, n)).tolist()))
-        Pinv = inverse(P, p)
-        if Pinv is not None:
-            break
-    actions = tuple(mat_mul(mat_mul(P, A, p), Pinv, p) for A in M.actions)
-    return RepModule(M.algebra, n, actions)
-
-
 def test_lattices_of_basis_changes_equal_brute_submodules(fixtures):
     # every corpus module of dimension at most 4: the brute scan of the
     # larger squares runs for seconds to minutes (tri4_f2_sq: 54 members,
@@ -181,13 +167,24 @@ def test_lattices_of_basis_changes_equal_brute_submodules(fixtures):
     for fx in fixtures:
         if fx.module.dim > 4:
             continue
-        M = _rebased(fx.module, rng)
+        M = rebased(fx.module, rng)
         lat = lattice.enumerate_submodules(M)
         engine = {point_set(m, M) for m in lat.members}
         assert engine == set(oracles.brute_submodules(M)), fx.name
         assert len(lat) == len(lattice_of(fx.module)), fx.name
         checked += 1
     assert checked == 18
+
+
+def test_joins_equal_the_point_set_join_on_every_lattice(fixtures):
+    for fx in fixtures:
+        lat = lattice_of(fx.module)
+        n = len(lat)
+        engine = lat.joins(*np.indices((n, n)))
+        for i in range(n):
+            for j in range(i, n):
+                k = oracles.brute_join(lat, i, j)
+                assert engine[i, j] == engine[j, i] == k, (fx.name, i, j)
 
 
 def test_lattice_over_a_large_prime_crosses_point_chunks():
