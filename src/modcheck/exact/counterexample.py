@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ..errors import (
     CertificateFailed,
@@ -187,8 +188,9 @@ def verify_direct_case(
     checks.append(("h_linearity_sample", True, "R-linearity spot-checked"))
     _check_f_well_defined(x, X, checks)
 
+    x_gen = UElement.of(p, q, x)  # f(u) = x_gen·r_u, built once for the case
     gen = UElement.generator(p, q)
-    diff = h.apply(gen) - f_of(x, gen)
+    diff = h.apply(gen) - x_gen.act(representing_r(gen))
     member, _ = X.contains(diff)
     checks.append(
         ("identity_on_generator", member and diff.is_zero(), "π(h(ē)) = f(ē) exactly")
@@ -197,7 +199,7 @@ def verify_direct_case(
     bad = 0
     for u in samples:
         try:
-            diff = h.apply(u) - f_of(x, u)
+            diff = h.apply(u) - x_gen.act(representing_r(u))
             member, _ = X.contains(diff)
             if not member:
                 bad += 1
@@ -256,13 +258,14 @@ def verify_partial_case(
     exact = x * y == Fraction(p) ** m
     checks.append(("fh_equals_projection_on_generator", exact, f"x·y = {x * y} = {p}^{m}"))
     gen_n = h.source_generator()
+    x_gen = UElement.of(p, q, x)
     bad = 0
     for rr in sample_relements(p, q, seed=seed):
         u_n = gen_n.act(rr)
         if not h.in_source(u_n):
             bad += 1
             continue
-        lhs = f_of(x, h.apply_to_multiple(rr))
+        lhs = x_gen.act(representing_r(h.apply_to_multiple(rr)))
         try:
             member, _ = X.contains(lhs - u_n)
             if not member:
@@ -322,24 +325,51 @@ def verify_graph_decomposition(
     # component of every u below carries at least p^(2m); v_q(w) = 0
     # handles β.
     base = UElement.of(p, q, Fraction(p) ** (2 * m))
+    inv_w = 1 / w
     rs = sample_relements(p, q, seed=seed)
-    r_right = sample_relements(p, q, seed=seed + 7)[:8]
+    sides = (rs[:12], sample_relements(p, q, seed=seed + 7)[:8])
+
+    # Per-sample values of the pair scan below, keyed by (side, index).
+    # Each is computed the first time the pair loop needs it and reused
+    # for every later pair, so the scan evaluates exactly what a per-pair
+    # recomputation would, in the same order, once.
+    @cache
+    def multiple(side: int, i: int) -> UElement:
+        return base.act(sides[side][i])
+
+    @cache
+    def u_at(side: int, i: int) -> UElement:
+        return multiple(side, i).scale(w)
+
+    @cache
+    def x_at(side: int, i: int) -> UElement | None:
+        """w⁻¹·u, or None when it leaves U (the pair counts as bad)."""
+        try:
+            return u_at(side, i).scale(inv_w)
+        except ShapeMismatch:
+            return None
+
+    @cache
+    def hx_at(side: int, i: int) -> UElement:
+        return h_apply(x_at(side, i))
 
     bad = 0
     checked = 0
-    for r1 in rs[:8]:
-        for r2 in r_right:
-            u1 = base.act(r1).scale(w)
-            u2 = base.act(r2).scale(w)
-            try:
-                x1 = u1.scale(1 / w)
-                x2 = u2.scale(1 / w)
-            except ShapeMismatch:
+    for i in range(8):
+        for j in range(len(sides[1])):
+            u1 = u_at(0, i)
+            u2 = u_at(1, j)
+            x1 = x_at(0, i)
+            if x1 is None:
+                bad += 1
+                continue
+            x2 = x_at(1, j)
+            if x2 is None:
                 bad += 1
                 continue
             checked += 1
-            z1 = x1 - h_apply(x2)
-            z2 = x2 - h_apply(x1)
+            z1 = x1 - hx_at(1, j)
+            z2 = x2 - hx_at(0, i)
             if z1 + h_apply(z2) != u1 or h_apply(z1) + z2 != u2:
                 bad += 1
     checks.append(
@@ -352,12 +382,11 @@ def verify_graph_decomposition(
 
     survived = 0
     tested = 0
-    for rr in rs[:12]:
-        cand = base.act(rr)
-        if cand.is_zero():
+    for i in range(len(sides[0])):
+        if multiple(0, i).is_zero():
             continue
         tested += 1
-        if cand.scale(w).is_zero():
+        if u_at(0, i).is_zero():
             survived += 1
     checks.append(
         (

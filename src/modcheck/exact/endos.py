@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import CertificateFailed, NotWellDefined, ShapeMismatch
 from .rationals import LocalizedRational, as_fraction, valuation, xgcd
@@ -49,18 +50,31 @@ class MultEndo:
         return all(self.apply(u) == u for u in samples)
 
 
+# The spot-check's products u·r and sums u+v depend only on (p, q), so a
+# small bounded memo shares them across every x checked at that pair.
+@lru_cache(maxsize=32)
+def _linearity_samples(p: int, q: int) -> tuple:
+    """(us, rs, products, sums): products[i][j] = us[i]·rs[j] and
+    sums[i][j] = us[i] + us[j] over the first 8 samples of each kind."""
+    us = sample_uelements(p, q)[:8]
+    rs = sample_relements(p, q)[:8]
+    products = tuple(tuple(u.act(r) for r in rs) for u in us)
+    sums = tuple(tuple(u + v for v in us) for u in us)
+    return us, rs, products, sums
+
+
 def mult_endo(x, p: int, q: int) -> MultEndo:
     """Build u ↦ x·u and spot-check R-linearity on a deterministic sample."""
     h = MultEndo(p, q, as_fraction(x))
-    us = sample_uelements(p, q)[:8]
-    rs = sample_relements(p, q)[:8]
-    for u in us:
-        for r in rs:
-            if h.apply(u.act(r)) != h.apply(u).act(r):
+    us, rs, products, sums = _linearity_samples(p, q)
+    images = [h.apply(u) for u in us]
+    for u, hu, row in zip(us, images, products):
+        for r, ur in zip(rs, row):
+            if h.apply(ur) != hu.act(r):
                 raise CertificateFailed(f"h(u·r) != h(u)·r for x={x}, u={u}, r={r}")
-    for u in us:
-        for v in us:
-            if h.apply(u + v) != h.apply(u) + h.apply(v):
+    for hu, row in zip(images, sums):
+        for hv, uv in zip(images, row):
+            if h.apply(uv) != hu + hv:
                 raise CertificateFailed(f"additivity failed for x={x}")
     return h
 
@@ -105,10 +119,12 @@ def endo_is_unit(e: MultEndo) -> UnitCertificate:
     if vp > 0:
         # x·(a, β) has first component x·a with v_p ≥ vp > 0, so ē is missed.
         missed = UElement.generator(p, q)
-        assert valuation(Fraction(1) / x, p) < 0
+        if valuation(Fraction(1) / x, p) >= 0:
+            raise CertificateFailed(f"ē is not missed: v_{p}(1/{x}) >= 0")
     if vq > 0:
         kernel = UElement.of(p, q, 0, Fraction(1, q))
-        assert not kernel.is_zero() and e.apply(kernel).is_zero()
+        if kernel.is_zero() or not e.apply(kernel).is_zero():
+            raise CertificateFailed(f"(0, 1/{q}) is not a nonzero kernel element of x={x}")
     is_unit = vp == 0 and vq == 0
     if is_unit:
         # Inverse multiplication is well defined, so check it really inverts.
@@ -137,7 +153,8 @@ def certified_witness(p: int, q: int) -> tuple:
         raise ShapeMismatch(f"{p} and {q} are not coprime")
     x = Fraction(u * p)
     y = Fraction(v * q)
-    assert x + y == 1
+    if x + y != 1:
+        raise CertificateFailed(f"Bézout pair ({x}, {y}) does not sum to 1")
     ex = mult_endo(x, p, q)
     ey = mult_endo(y, p, q)
     cx = endo_is_unit(ex)

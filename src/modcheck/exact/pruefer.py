@@ -4,6 +4,8 @@ Every class has a unique representative k/q^n with n ≥ 0, 0 ≤ k < q^n
 and q ∤ k unless k = 0 (in which case n = 0).  Addition, negation, and
 multiplication by elements of ℤ_(q) work on the stored integers k mod q^n
 and cancel factors of q, so equality is plain field-by-field comparison.
+Those results come out of ``_reduced`` canonical by construction and skip
+the constructor's check; the public constructor still validates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ def _reduced(q: int, n: int, k: int) -> "PrueferElement":
     while k and k % q == 0:
         k //= q
         n -= 1
-    return PrueferElement(q, n, k) if k else PrueferElement(q, 0, 0)
+    if not k:
+        n = 0
+    obj = object.__new__(PrueferElement)
+    fields = obj.__dict__
+    fields["q"] = q
+    fields["n"] = n
+    fields["k"] = k
+    return obj
 
 
 @dataclass(frozen=True)

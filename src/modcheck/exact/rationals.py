@@ -1,9 +1,15 @@
 """Exact rational arithmetic with prime valuations and localizations.
 
-Everything here is a thin layer over fractions.Fraction: valuations,
-extended gcd, membership in the localization ℤ_(p) (denominator coprime
-to p), and the decomposition x = p^m · q^(−n) · t/s used by the partial
-lifting construction.
+Values are fractions.Fraction: valuations, extended gcd, membership in the
+localization ℤ_(p) (denominator coprime to p), and the decomposition
+x = p^m · q^(−n) · t/s used by the partial lifting construction.
+
+Membership in ℤ_(p) is validated where a rational enters: the public
+LocalizedRational constructor, every operation with a raw rational
+operand (``a * Fraction``), and ``divide``, whose quotient can leave the
+ring.  ℤ_(p) is closed under +, − and ×, so sums, differences, products
+and negatives of two LocalizedRationals at the same prime skip that check
+through ``_localized``; mixing primes still raises ShapeMismatch.
 """
 
 from __future__ import annotations
@@ -12,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ..errors import ShapeMismatch, UnresolvedDivision, WrongBranch, ZeroInput
+from ..errors import (
+    CertificateFailed,
+    ShapeMismatch,
+    UnresolvedDivision,
+    WrongBranch,
+    ZeroInput,
+)
 
 
 def as_fraction(x) -> Fraction:
@@ -76,22 +88,31 @@ class LocalizedRational:
             )
 
     def __add__(self, other):
-        return LocalizedRational(self.value + self._coerce(other), self.prime)
+        if isinstance(other, LocalizedRational):
+            return _localized(self.value + self._same_prime(other), self.prime)
+        return LocalizedRational(self.value + as_fraction(other), self.prime)
 
     def __sub__(self, other):
-        return LocalizedRational(self.value - self._coerce(other), self.prime)
+        if isinstance(other, LocalizedRational):
+            return _localized(self.value - self._same_prime(other), self.prime)
+        return LocalizedRational(self.value - as_fraction(other), self.prime)
 
     def __neg__(self):
-        return LocalizedRational(-self.value, self.prime)
+        return _localized(-self.value, self.prime)
 
     def __mul__(self, other):
-        return LocalizedRational(self.value * self._coerce(other), self.prime)
+        if isinstance(other, LocalizedRational):
+            return _localized(self.value * self._same_prime(other), self.prime)
+        return LocalizedRational(self.value * as_fraction(other), self.prime)
+
+    def _same_prime(self, other: "LocalizedRational") -> Fraction:
+        if other.prime != self.prime:
+            raise ShapeMismatch("localizations at different primes")
+        return other.value
 
     def _coerce(self, other) -> Fraction:
         if isinstance(other, LocalizedRational):
-            if other.prime != self.prime:
-                raise ShapeMismatch("localizations at different primes")
-            return other.value
+            return self._same_prime(other)
         return as_fraction(other)
 
     def divide(self, other) -> "LocalizedRational":
@@ -117,6 +138,16 @@ class LocalizedRational:
         return self.value == 0
 
 
+def _localized(value: Fraction, prime: int) -> LocalizedRational:
+    """A LocalizedRational built without __post_init__, for a value already
+    known to be a Fraction in ℤ_(prime): the ring's own +, − and ×."""
+    obj = object.__new__(LocalizedRational)
+    fields = obj.__dict__
+    fields["value"] = value
+    fields["prime"] = prime
+    return obj
+
+
 def decompose_x(x, p: int, q: int) -> tuple:
     """Split x ∈ ℤ_(p) with v_q(x) < 0 as (m, n, t, s): x = p^m · q^(−n) · t/s.
 
@@ -135,6 +166,8 @@ def decompose_x(x, p: int, q: int) -> tuple:
     n = -vq
     rest = x / Fraction(p) ** m * Fraction(q) ** n
     t, s = rest.numerator, rest.denominator
-    assert gcd(t, p * q) == 1 and gcd(s, p * q) == 1
-    assert Fraction(p) ** m * Fraction(t, s) / Fraction(q) ** n == x
+    if gcd(t, p * q) != 1 or gcd(s, p * q) != 1:
+        raise CertificateFailed(f"{t}/{s} is not a unit at {p} and {q}")
+    if Fraction(p) ** m * Fraction(t, s) / Fraction(q) ** n != x:
+        raise CertificateFailed(f"{p}^{m} * {q}^(-{n}) * {t}/{s} does not reconstruct {x}")
     return m, n, t, s

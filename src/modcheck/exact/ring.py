@@ -113,19 +113,19 @@ class UElement:
 
     def __add__(self, other: "UElement") -> "UElement":
         self._check(other)
-        return UElement(self.p, self.q, self.a + other.a, self.beta + other.beta)
+        return _uelement(self.p, self.q, self.a + other.a, self.beta + other.beta)
 
     def __sub__(self, other: "UElement") -> "UElement":
         self._check(other)
-        return UElement(self.p, self.q, self.a - other.a, self.beta - other.beta)
+        return _uelement(self.p, self.q, self.a - other.a, self.beta - other.beta)
 
     def __neg__(self) -> "UElement":
-        return UElement(self.p, self.q, -self.a, -self.beta)
+        return _uelement(self.p, self.q, -self.a, -self.beta)
 
     def scale(self, f) -> "UElement":
         """f·(a, β) = (f·a, [f·β]); ShapeMismatch when f·a leaves ℤ_(p) or
         f carries a q-denominator onto a nonzero β."""
-        return UElement(self.p, self.q, self.a * f, self.beta.scale(f))
+        return _uelement(self.p, self.q, self.a * f, self.beta.scale(f))
 
     def act(self, r: RElement) -> "UElement":
         """Right action (a, β)·(a', b', c') = (a·a', [a·b'] + β·c')."""
@@ -133,11 +133,26 @@ class UElement:
             raise ShapeMismatch("acting by an element of a different ring")
         new_a = self.a * r.a
         carried = PrueferElement.from_rational(self.q, self.a.value * r.b)
-        return UElement(self.p, self.q, new_a, carried + self.beta.scale(r.c))
+        return _uelement(self.p, self.q, new_a, carried + self.beta.scale(r.c))
 
     def _check(self, other):
         if (self.p, self.q) != (other.p, other.q):
             raise ShapeMismatch("module elements over different prime pairs")
+
+
+def _uelement(p: int, q: int, a: LocalizedRational, beta: PrueferElement) -> UElement:
+    """A UElement built without __post_init__, for the results of UElement
+    operations: their components come from the ℤ_(p) and ℚ/ℤ_(q)
+    operations of elements already checked to share (p, q), so they sit
+    at the right primes by construction.  A raw rational operand (as in
+    ``scale``) is validated by those component operations."""
+    obj = object.__new__(UElement)
+    fields = obj.__dict__
+    fields["p"] = p
+    fields["q"] = q
+    fields["a"] = a
+    fields["beta"] = beta
+    return obj
 
 
 # The samples are pure in (p, q, seed, size) and hold frozen values, so a

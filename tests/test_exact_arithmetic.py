@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from modcheck.errors import (
+    CertificateFailed,
     ShapeMismatch,
     UnresolvedDivision,
     WrongBranch,
     ZeroInput,
 )
+from modcheck.exact import rationals as rationals_module
 from modcheck.exact.counterexample import representing_r
 from modcheck.exact.pruefer import PrueferElement
 from modcheck.exact.rationals import (
@@ -117,6 +119,16 @@ def test_decompose_x_rejects_the_direct_branch():
         decompose_x(Fraction(1, 2), 2, 3)  # not even in Z_(2)
     with pytest.raises(ZeroInput):
         decompose_x(Fraction(0), 2, 3)
+
+
+def test_decompose_x_checks_raise_rather_than_assert(monkeypatch):
+    # Explicit raises, so the reconstruction check also runs under python -O.
+    real = rationals_module.valuation
+    monkeypatch.setattr(
+        rationals_module, "valuation", lambda x, prime: real(x, prime) + (prime == 2)
+    )
+    with pytest.raises(CertificateFailed):
+        decompose_x(Fraction(4, 3), 2, 3)
 
 
 # -- Prüfer component ---------------------------------------------------------
@@ -252,6 +264,95 @@ def test_uelement_scale_refuses_leaving_the_localizations():
         UElement.of(2, 3, 0, Fraction(1, 3)).scale(Fraction(1, 3))  # q-denominator on β
     assert UElement.of(2, 3, 2).scale(Fraction(1, 2)) == UElement.generator(2, 3)
     assert UElement.of(2, 3, 0).scale(Fraction(1, 3)).is_zero()
+
+
+# The ring operations build their results without re-running the
+# validating constructors; every such result must equal its rebuild through
+# those constructors, and a raw rational operand must still be checked.
+
+prime_pairs = st.sampled_from(((2, 3), (3, 2), (2, 5), (5, 3)))
+
+
+def localized_at(p):
+    """x ∈ ℤ_(p): the denominator is coprime to p."""
+    return st.builds(
+        lambda num, j, r: Fraction(num, p * j + r),
+        st.integers(-(p**6), p**6),
+        st.integers(0, 8),
+        st.integers(1, p - 1),
+    )
+
+
+def pruefer_rationals(q):
+    return st.builds(
+        lambda k, n, c: Fraction(k, q**n * c),
+        st.integers(-(q**5), q**5),
+        st.integers(0, 4),
+        st.integers(1, 6),
+    )
+
+
+def revalidated(e):
+    """e rebuilt through the public, validating constructors."""
+    if isinstance(e, LocalizedRational):
+        return LocalizedRational(e.value, e.prime)
+    if isinstance(e, PrueferElement):
+        return PrueferElement(e.q, e.n, e.k)
+    return UElement(e.p, e.q, revalidated(e.a), revalidated(e.beta))
+
+
+@seed(20240)
+@given(st.data(), prime_pairs)
+@settings(max_examples=300, deadline=None)
+def test_closed_operations_equal_their_validated_rebuilds(data, pq):
+    p, q = pq
+    a, b = (LocalizedRational(data.draw(localized_at(p)), p) for _ in range(2))
+    c = LocalizedRational(data.draw(localized_at(q)), q)
+    beta, gamma = (
+        PrueferElement.from_rational(q, data.draw(pruefer_rationals(q))) for _ in range(2)
+    )
+    u = UElement(p, q, a, beta)
+    v = UElement(p, q, b, gamma)
+    r = RElement(p, q, b, data.draw(pruefer_rationals(q)), c)
+    # f ∈ ℤ_(p) ∩ ℤ_(q), so u·f is defined on both components
+    f = Fraction(
+        data.draw(st.integers(-(p**4), p**4)), data.draw(st.sampled_from((1, 7, 11, 77)))
+    )
+    results = (
+        a + b, a - b, a * b, -a,
+        beta + gamma, beta - gamma, -beta, beta.scale(c), beta.scale(c.value),
+        PrueferElement.from_rational(q, data.draw(pruefer_rationals(q))),
+        u + v, u - v, -u, u.act(r), u.scale(f),
+    )
+    for e in results:
+        assert e == revalidated(e)
+    for e in results[:4]:
+        assert type(e.value) is Fraction
+
+
+@seed(20241)
+@given(st.data(), prime_pairs)
+@settings(max_examples=200, deadline=None)
+def test_raw_rational_operands_are_still_validated(data, pq):
+    p, q = pq
+    a = LocalizedRational(data.draw(localized_at(p)), p)
+    if in_localization(a.value / p, p):
+        assert a * Fraction(1, p) == LocalizedRational(a.value / p, p)
+    else:
+        with pytest.raises(ShapeMismatch):
+            a * Fraction(1, p)
+    beta = data.draw(pruefer_rationals(q))
+    u = UElement.of(p, q, a.value, beta)
+    if u.beta.is_zero():
+        assert u.scale(Fraction(1, q)) == UElement.of(p, q, a.value / q)
+    else:
+        with pytest.raises(ShapeMismatch):
+            u.scale(Fraction(1, q))
+    for leaves in (lambda: a + Fraction(1, p), lambda: a - Fraction(1, p)):
+        with pytest.raises(ShapeMismatch):
+            leaves()  # a ± 1/p always has p in its denominator
+    with pytest.raises(ShapeMismatch):
+        a + LocalizedRational(Fraction(1), q)  # localizations at different primes
 
 
 # -- the ring R and the module U ----------------------------------------------

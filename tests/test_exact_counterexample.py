@@ -7,6 +7,7 @@ import pytest
 from modcheck.errors import (
     CertificateFailed,
     NotWellDefined,
+    ShapeMismatch,
     UnresolvedDivision,
     WrongBranch,
     ZeroInput,
@@ -20,13 +21,23 @@ from modcheck.exact.counterexample import (
     verify_graph_decomposition,
     verify_partial_case,
 )
+from modcheck.exact import endos
 from modcheck.exact.endos import (
+    MultEndo,
     PartialHom,
+    certified_witness,
     endo_is_unit,
     mult_endo,
     nonlocal_witness,
 )
-from modcheck.exact.ring import RElement, UElement, sample_uelements
+from modcheck.exact.rationals import decompose_x
+from modcheck.exact.ring import (
+    SAMPLE_SEED,
+    RElement,
+    UElement,
+    sample_relements,
+    sample_uelements,
+)
 from modcheck.exact.zext import brute_route_scan, z_extension_routes
 
 DIRECT_XS = (Fraction(1), Fraction(3, 5), Fraction(7, 5))
@@ -55,6 +66,71 @@ def test_graph_decomposition_verifies(x):
     report = verify_graph_decomposition(x, 2, 3)
     assert report.case == "graph"
     assert bool(report) and not report.unresolved
+
+
+# Fault injection into the graph scan.  For x = 4/3 at (p, q) = (2, 3) the
+# scan pairs u₁ = w·(16ē)·r₁ over the first 8 default samples r₁ with
+# u₂ = w·(16ē)·r₂ over the first 8 samples of the seed + 7 family, and checks
+# the intersection on the first 12 default samples.
+
+
+def _graph_scan(monkeypatch, fault):
+    """The checks of verify_graph_decomposition(4/3, 2, 3) with UElement.scale
+    replaced by fault(self, f, original, setup) wherever that returns non-None."""
+    p, q, x = 2, 3, Fraction(4, 3)
+    m, n, t, s = decompose_x(x, p, q)
+    y = Fraction(q**n * s, t)
+    w = 1 - y**2 / Fraction(p) ** (2 * m)
+    setup = {
+        "w": w,
+        "base": UElement.of(p, q, Fraction(p) ** (2 * m)),
+        "left": sample_relements(p, q),
+        "right": sample_relements(p, q, seed=SAMPLE_SEED + 7),
+    }
+    original = UElement.scale
+
+    def scale(self, f):
+        out = fault(self, f, original, setup)
+        return original(self, f) if out is None else out
+
+    monkeypatch.setattr(UElement, "scale", scale)
+    report = verify_graph_decomposition(x, p, q)
+    return {name: (ok, detail) for name, ok, detail in report.checks}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_graph_scan_counts_a_rescaling_that_leaves_u_as_bad(monkeypatch, side):
+    def fault(u, f, original, setup):
+        w = setup["w"]
+        if f == 1 / w and u == original(setup["base"].act(setup[side][3]), w):
+            raise ShapeMismatch("w⁻¹·u leaves U")
+
+    ok, detail = _graph_scan(monkeypatch, fault)["sampled_sum_decomposition"]
+    assert not ok and detail == "56 sampled pairs decomposed exactly"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_graph_scan_catches_a_wrong_rescaling_on_either_side(monkeypatch, side):
+    bump = UElement.of(2, 3, 0, Fraction(1, 3))
+
+    def fault(u, f, original, setup):
+        w = setup["w"]
+        if f == 1 / w and u == original(setup["base"].act(setup[side][5]), w):
+            return original(u, f) + bump
+
+    checks = _graph_scan(monkeypatch, fault)
+    assert checks["sampled_sum_decomposition"][0] is False
+    assert checks["graph_intersection_trivial"][0] is True
+
+
+def test_graph_intersection_catches_a_vanishing_w_multiple(monkeypatch):
+    def fault(u, f, original, setup):
+        if f == setup["w"] and u == setup["base"].act(setup["left"][10]):
+            return UElement.zero(2, 3)
+
+    checks = _graph_scan(monkeypatch, fault)
+    assert checks["graph_intersection_trivial"][0] is False
+    assert checks["sampled_sum_decomposition"][0] is True
 
 
 def test_branch_routing_is_strict():
@@ -117,6 +193,54 @@ def test_mult_endo_requires_both_localizations():
     h = mult_endo(Fraction(3, 5), 2, 3)
     u = UElement.of(2, 3, 2, Fraction(1, 9))
     assert h.apply(u) == UElement.of(2, 3, Fraction(6, 5), Fraction(1, 15))
+
+
+def _perturbed_apply(monkeypatch, target):
+    """Make MultEndo.apply wrong on the single element ``target``."""
+    original = MultEndo.apply
+    bump = UElement.of(target.p, target.q, 0, Fraction(1, target.q))
+
+    def apply(self, u):
+        image = original(self, u)
+        return image + bump if u == target else image
+
+    monkeypatch.setattr(MultEndo, "apply", apply)
+
+
+def test_mult_endo_catches_a_map_that_is_not_r_linear(monkeypatch):
+    p, q = 2, 3
+    us = sample_uelements(p, q)[:8]
+    rs = sample_relements(p, q)[:8]
+    sums = {u + v for u in us for v in us}
+    target = next(
+        ur for ur in (u.act(r) for u in us for r in rs) if ur not in us and ur not in sums
+    )
+    _perturbed_apply(monkeypatch, target)
+    with pytest.raises(CertificateFailed, match=r"h\(u·r\) != h\(u\)·r"):
+        mult_endo(Fraction(3, 5), p, q)
+
+
+def test_mult_endo_catches_a_map_that_is_not_additive(monkeypatch):
+    p, q = 2, 3
+    us = sample_uelements(p, q)[:8]
+    products = {u.act(r) for u in us for r in sample_relements(p, q)[:8]}
+    target = next(
+        uv for uv in (u + v for u in us for v in us) if uv not in us and uv not in products
+    )
+    _perturbed_apply(monkeypatch, target)
+    with pytest.raises(CertificateFailed, match="additivity failed"):
+        mult_endo(Fraction(3, 5), p, q)
+
+
+def test_unit_certificate_checks_raise_rather_than_assert(monkeypatch):
+    # Explicit raises, so the checks also run under python -O.
+    monkeypatch.setattr(MultEndo, "apply", lambda self, u: u)
+    with pytest.raises(CertificateFailed, match="kernel element"):
+        endo_is_unit(MultEndo(2, 3, Fraction(3)))
+    monkeypatch.undo()
+    monkeypatch.setattr(endos, "xgcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(CertificateFailed, match="does not sum to 1"):
+        certified_witness(2, 3)
 
 
 def test_unit_certificates_carry_element_evidence():

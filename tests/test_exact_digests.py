@@ -7,10 +7,15 @@ a witness or a check's detail string changes them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modcheck
 from modcheck.cli import main
 from modcheck.exact import (
     fiep_failure_report,
@@ -69,3 +74,14 @@ def test_case_report_digests(pq):
 def test_exact_cli_digest(capsys):
     assert main(["exact"]) == 0
     assert _digest(capsys.readouterr().out) == EXACT_CLI_DIGEST
+
+
+def test_exact_cli_digest_under_optimize():
+    # python -O strips assert statements; the certificates must not depend on them.
+    src = str(Path(modcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "modcheck", "exact"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert _digest(run.stdout) == EXACT_CLI_DIGEST
