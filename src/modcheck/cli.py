@@ -135,7 +135,7 @@ def _route_x(x: Fraction, args):
 
 
 def cmd_exact(args) -> int:
-    from .exact import fiep_failure_report, z_extension_routes
+    from .exact import default_xs, fiep_failure_report, z_extension_routes
 
     if args.mode == "zext":
         if args.a is None or args.b is None:
@@ -146,7 +146,7 @@ def cmd_exact(args) -> int:
         _emit(doc, args)
         return EXIT_OK
 
-    xs = args.x or ["1", "3/5", "7/5", "4/3", "10/9", "8/3"]
+    xs = args.x or [x for xs in default_xs(args.p, args.q) for x in xs]
     certificates = []
     unresolved = []
     all_pass = True

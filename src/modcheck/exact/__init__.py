@@ -6,6 +6,7 @@ from .counterexample import (
     FiepFailureReport,
     GeneratedSubmodule,
     default_x_submodule,
+    default_xs,
     f_of,
     fiep_failure_report,
     representing_r,
@@ -58,6 +59,7 @@ __all__ = [
     "brute_route_scan",
     "decompose_x",
     "default_x_submodule",
+    "default_xs",
     "endo_is_unit",
     "f_of",
     "fiep_failure_report",

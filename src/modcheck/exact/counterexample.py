@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import count, islice
 
 from ..errors import (
     CertificateFailed,
@@ -103,6 +104,21 @@ class GeneratedSubmodule:
         if witness != u:
             raise CertificateFailed(f"membership witness failed for {u}")
         return True, f"u = g·(0, 0, {c})"
+
+
+def default_xs(p: int, q: int) -> tuple:
+    """The default test values at (p, q): (direct xs, partial xs), as strings.
+
+    With r < s the two smallest primes not dividing pq, the direct values
+    1, q/r, s/r lie in ℤ_(p) with v_q ≥ 0, and the partial values p²/q,
+    p·r/q², p³/q lie in ℤ_(p) with v_q < 0.  At (2, 3) they are 1, 3/5,
+    7/5 and 4/3, 10/9, 8/3.
+    """
+    primes = (n for n in count(2) if all(n % d for d in range(2, n)))
+    r, s = islice((n for n in primes if (p * q) % n), 2)
+    direct = (Fraction(1), Fraction(q, r), Fraction(s, r))
+    partial = (Fraction(p * p, q), Fraction(p * r, q * q), Fraction(p**3, q))
+    return tuple(map(str, direct)), tuple(map(str, partial))
 
 
 def default_x_submodule(p: int, q: int) -> GeneratedSubmodule:

@@ -11,22 +11,30 @@ per worklist member, with the member's basis on top of every zero-padded
 cyclic basis.  Reduced echelon form is canonical, so the bytes of a
 reduced basis identify its submodule.
 
-Each member carries a bitset of the point indices it contains, which makes
-inclusion a subset test and intersection a bitwise AND plus one dictionary
-lookup.  The lattice order is by (dimension, basis), so indices are stable
-across runs.
+Each member carries a bitset of the point indices it contains; the
+N×N containment matrix is built from those bitsets once, as subset tests,
+and kept as ``containment``.  The lattice order is by (dimension, basis),
+so indices are stable across runs.  The Hasse diagram is read from the
+containment matrix, and so is every other order question:
 
-The N×N containment matrix that the Hasse diagram is read from is kept as
-``containment``.  join reads a row of the join table, built from that
-matrix on first use: row i holds, for every j, the first member above both
-i and j, which is their sum because members are sorted by dimension.
-Whole arrays of joins are one gather from the same rows (``joins``).
+- join reads a row of the join table, built from that matrix on first
+  use: row i holds, for every j, the first member above both i and j,
+  which is their sum because members are sorted by dimension.  Whole
+  arrays of joins are one gather from the same rows (``joins``).
+- ``disjoint[i, j]``: members i and j meet in zero.  A nonzero
+  intersection contains an atom, so this is one boolean product over the
+  atom rows of ``containment``.
+- ``cospan[i, j]``: members i and j sum to M.  A proper sum lies in a
+  maximal member, so this is one boolean product over the maximal
+  columns.
+- ``complement[i, j]``: disjoint with dimensions adding up to dim M,
+  which over a field means M = i ⊕ j.
 
-The lattice is the per-module context of every scan: besides the order it
-keeps the data the scans share (maximal and minimal members, radical and
-socle, direct summands with their complements), each computed on first
-use and then stored.  lattice_of hands out lattices from one bounded memo
-keyed on the module.
+The lattice is the per-module context of every scan: besides the order
+matrices it keeps the data the scans share (maximal and minimal members,
+radical and socle, direct summands with their first complements), each
+read off those matrices on first use and then stored.  lattice_of hands
+out lattices from one bounded memo keyed on the module.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ class SubmoduleLattice:
     bits: tuple  # point-index bitsets, aligned with members
     hasse_edges: tuple  # (i, j) with member i covered by member j
     _index_by_basis: dict = dc_field(compare=False, repr=False, default=None)
-    _index_by_bits: dict = dc_field(compare=False, repr=False, default=None)
     # containment[i, j]: is member i contained in member j?
     containment: np.ndarray = dc_field(compare=False, repr=False, default=None)
 
@@ -75,10 +82,6 @@ class SubmoduleLattice:
     def leq(self, i: int, j: int) -> bool:
         """Is member i contained in member j?"""
         return bool(self.containment[i, j])
-
-    def meet(self, i: int, j: int) -> int:
-        """Index of the intersection (the AND of the point sets)."""
-        return self._index_by_bits[self.bits[i] & self.bits[j]]
 
     def join(self, i: int, j: int) -> int:
         """Index of the sum: the smallest member containing both."""
@@ -102,16 +105,8 @@ class SubmoduleLattice:
         return self._atoms
 
     def sum_is_proper(self, i: int, j: int) -> bool:
-        """Is member i + member j a proper submodule?
-
-        The sum is proper iff the union of the two point sets fits inside
-        some maximal member, which avoids computing the join.
-        """
-        union = self.bits[i] | self.bits[j]
-        return any(union & ~b == 0 for b in self._maximal_bits)
-
-    def proper_indices(self) -> tuple:
-        return tuple(range(len(self.members) - 1))
+        """Is member i + member j a proper submodule?"""
+        return not self.cospan[i, j]
 
     def radical_index(self) -> int:
         """Intersection of the maximal members (the top if there are none)."""
@@ -130,6 +125,32 @@ class SubmoduleLattice:
         return self._summands
 
     @cached_property
+    def dims(self) -> np.ndarray:
+        """Dimension of each member."""
+        return np.array([m.dim for m in self.members])
+
+    @cached_property
+    def disjoint(self) -> np.ndarray:
+        """disjoint[i, j]: do members i and j meet in zero?"""
+        # a nonzero intersection contains an atom
+        atoms = self.containment[list(self._atoms)]
+        return ~(atoms.T @ atoms)
+
+    @cached_property
+    def cospan(self) -> np.ndarray:
+        """cospan[i, j]: do members i and j sum to M?"""
+        # a proper sum lies in a maximal member
+        below = self.containment[:, list(self._maximal)]
+        return ~(below @ below.T)
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """complement[i, j]: is M = member i ⊕ member j?"""
+        # over a field, X ∩ Y = 0 plus complementary dimensions gives X ⊕ Y = M
+        dims = self.dims
+        return self.disjoint & (dims[:, None] + dims[None, :] == self.module.dim)
+
+    @cached_property
     def _join_table(self) -> np.ndarray:
         # rows are filled on first use; join(i, 0) = i, so -1 there marks a
         # row not built yet
@@ -140,48 +161,23 @@ class SubmoduleLattice:
         return tuple(i for (i, j) in self.hasse_edges if j == self.full_index)
 
     @cached_property
-    def _maximal_bits(self) -> tuple:
-        return tuple(self.bits[m] for m in self._maximal)
-
-    @cached_property
     def _atoms(self) -> tuple:
         return tuple(j for (i, j) in self.hasse_edges if i == self.zero_index)
 
     @cached_property
     def _radical(self) -> int:
-        if not self._maximal:
-            return self.full_index
-        b = self._maximal_bits[0]
-        for m in self._maximal_bits[1:]:
-            b &= m
-        return self._index_by_bits[b]
+        # the last member below every maximal member is their intersection
+        below = self.containment[:, list(self._maximal)].all(axis=1)
+        return int(np.flatnonzero(below)[-1])
 
     @cached_property
     def _socle(self) -> int:
-        if not self._atoms:
-            return self.zero_index
-        union = 0
-        for a in self._atoms:
-            union |= self.bits[a]
-        # the join is the smallest member whose point set contains the union
-        best = self.full_index
-        for k in range(len(self.members)):
-            if union & ~self.bits[k] == 0 and self.members[k].dim < self.members[best].dim:
-                best = k
-        return best
+        # the first member above every atom is their sum
+        return int(np.argmax(self.containment[list(self._atoms)].all(axis=0)))
 
     @cached_property
     def _complements(self) -> tuple:
-        # over a field, X ∩ Y = 0 plus complementary dimensions gives X ⊕ Y = M
-        dims = [m.dim for m in self.members]
-        full = self.module.dim
-        return tuple(
-            next(
-                (j for j, d in enumerate(dims) if d == full - di and bi & self.bits[j] == 1),
-                None,
-            )
-            for di, bi in zip(dims, self.bits)
-        )
+        return tuple(int(row.argmax()) if row.any() else None for row in self.complement)
 
     @cached_property
     def _summands(self) -> tuple:
@@ -311,6 +307,5 @@ def enumerate_submodules(
         bits=bits,
         hasse_edges=tuple(sorted(edges)),
         _index_by_basis={s.basis: i for i, s in enumerate(members)},
-        _index_by_bits={b: i for i, b in enumerate(bits)},
         containment=leq,
     )

@@ -5,6 +5,11 @@ lattice, so the verdicts are proofs by inspection rather than heuristics.
 The scans take the lattice, which callers build once with their caps; the
 predicates that take a module are thin wrappers over lattice_of(M).
 
+Each scan is an array expression over the lattice's order matrices:
+``containment`` (X ≤ Y), ``disjoint`` (X ∩ Y = 0), ``cospan`` (X + Y = M)
+and ``complement`` (M = X ⊕ Y).  Every pair the definition quantifies
+over is still inspected; the matrices only hold the answers in one place.
+
 Smallness has a closed form at finite length (containment in the radical)
 and so has essentiality (containment of the socle); the scans never use
 them, and the acceptance suite checks the scans against both on the
@@ -21,6 +26,8 @@ verdict so reports stay total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .endring import endomorphism_ring, is_local
 from .errors import ShapeMismatch, TooLarge, ZeroModule
@@ -75,17 +82,14 @@ def _small_over(lat: SubmoduleLattice, k: int, n: int) -> bool:
 
     By the correspondence theorem the submodules of M/K are the members
     Y >= K, so the test is N + Y != M for every proper member Y >= K.
-    K = 0 gives plain smallness.  The scan runs top-down so a failure
-    shows up on an early (large) Y.
+    K = 0 gives plain smallness.
     """
-    return all(
-        lat.sum_is_proper(n, y) for y in reversed(lat.proper_indices()) if lat.leq(k, y)
-    )
+    return not (lat.containment[k, :-1] & lat.cospan[n, :-1]).any()
 
 
 def _essential_index(lat: SubmoduleLattice, i: int) -> bool:
     """Member i meets every nonzero member nontrivially."""
-    return all(lat.bits[i] & lat.bits[y] != 1 for y in range(1, len(lat.members)))
+    return not lat.disjoint[i, 1:].any()
 
 
 def is_small(N: Submodule, M: RepModule) -> bool:
@@ -116,10 +120,13 @@ def is_coessential(K: Submodule, N: Submodule, M: RepModule) -> bool:
 # -- module-level predicates ---------------------------------------------------
 
 def hollow_scan(lat: SubmoduleLattice) -> bool:
-    """Nonzero, and every proper submodule is small."""
+    """Nonzero, and every proper submodule is small.
+
+    Equivalent scan: no two proper submodules sum to M.
+    """
     if lat.module.dim == 0:
         raise ZeroModule("hollow is undefined for the zero module")
-    return all(_small_over(lat, lat.zero_index, i) for i in lat.proper_indices())
+    return not lat.cospan[:-1, :-1].any()
 
 
 def uniform_scan(lat: SubmoduleLattice) -> bool:
@@ -129,34 +136,17 @@ def uniform_scan(lat: SubmoduleLattice) -> bool:
     """
     if lat.module.dim == 0:
         raise ZeroModule("uniform is undefined for the zero module")
-    n = len(lat.members)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if lat.bits[i] & lat.bits[j] == 1:
-                return False
-    return True
+    return not lat.disjoint[1:, 1:].any()
 
 
 def uniserial_scan(lat: SubmoduleLattice) -> bool:
     """Submodules totally ordered by inclusion."""
-    n = len(lat.members)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not lat.leq(i, j) and not lat.leq(j, i):
-                return False
-    return True
+    return bool((lat.containment | lat.containment.T).all())
 
 
 def indecomposable_scan(lat: SubmoduleLattice) -> bool:
     """No pair of nonzero submodules with zero intersection spanning M."""
-    n = len(lat.members)
-    full_dim = lat.module.dim
-    for i in range(1, n):
-        di = lat.members[i].dim
-        for j in range(i, n):
-            if di + lat.members[j].dim == full_dim and lat.bits[i] & lat.bits[j] == 1:
-                return False
-    return True
+    return not lat.complement[1:, 1:].any()
 
 
 def is_hollow(M: RepModule) -> bool:
@@ -208,23 +198,32 @@ class CoverReport:
         }
 
 
+def _cover_report(lat: SubmoduleLattice, name: str, serves: np.ndarray) -> CoverReport:
+    """``serves[s, i]``: does the s-th direct summand serve member i?
+
+    Each member's witness is the first summand that serves it; the scan
+    stops at the first member that none serves.
+    """
+    summands = np.array(lat.summand_indices())
+    served = serves.any(axis=0)
+    stop = len(lat) if served.all() else int(np.argmin(served))
+    witnesses = tuple(summands[serves[:, :stop].argmax(axis=0)].tolist())
+    if stop == len(lat):
+        return CoverReport(name, True, witnesses, None, None)
+    return CoverReport(name, False, witnesses, stop, lat.members[stop].basis)
+
+
 def lifting_scan(lat: SubmoduleLattice) -> CoverReport:
     """Every submodule N contains a direct summand coessential in it.
 
     For each lattice member N the scan tries the direct summands X <= N in
-    canonical order and asks whether N/X is small in M/X.  A miss for
-    every X is a counterexample to lifting.
+    canonical order and asks whether N/X is small in M/X, that is whether
+    no proper member Y >= X has N + Y = M.  A miss for every X is a
+    counterexample to lifting.
     """
-    witnesses = []
-    for i, N in enumerate(lat.members):
-        found = next(
-            (x for x in lat.summand_indices() if lat.leq(x, i) and _small_over(lat, x, i)),
-            None,
-        )
-        if found is None:
-            return CoverReport("lifting", False, tuple(witnesses), i, N.basis)
-        witnesses.append(found)
-    return CoverReport("lifting", True, tuple(witnesses), None, None)
+    leq = lat.containment[list(lat.summand_indices())]
+    cospanned = leq[:, :-1] @ lat.cospan[:, :-1].T
+    return _cover_report(lat, "lifting", leq & ~cospanned)
 
 
 def extending_scan(lat: SubmoduleLattice) -> CoverReport:
@@ -233,25 +232,10 @@ def extending_scan(lat: SubmoduleLattice) -> CoverReport:
     Essentiality of N in a candidate X is scanned inside the lattice:
     every nonzero member contained in X must meet N nontrivially.
     """
-    n = len(lat.members)
-    witnesses = []
-    for i in range(n):
-        found = None
-        for x in lat.summand_indices():
-            if not lat.leq(i, x):
-                continue
-            ok = True
-            for y in range(1, n):
-                if lat.leq(y, x) and lat.bits[i] & lat.bits[y] == 1:
-                    ok = False
-                    break
-            if ok:
-                found = x
-                break
-        if found is None:
-            return CoverReport("extending", False, tuple(witnesses), i, lat.members[i].basis)
-        witnesses.append(found)
-    return CoverReport("extending", True, tuple(witnesses), None, None)
+    above = lat.containment[:, list(lat.summand_indices())].T
+    # missed[x, i]: some nonzero member below summand x meets member i in zero
+    missed = above[:, 1:] @ lat.disjoint[1:]
+    return _cover_report(lat, "extending", above & ~missed)
 
 
 def is_lifting(M: RepModule) -> CoverReport:

@@ -3,22 +3,23 @@ internal exchange property.
 
 A member X of the lattice is a direct summand when some member Y has
 X ∩ Y = 0 and X + Y = M; over a field both conditions reduce to one
-dimension count plus one intersection bitset test.  Decompositions are
-ordered tuples of nonzero parts whose stacked bases have full rank; they
-are enumerated one part at a time over arrays of prefixes, dropping a
-prefix as soon as its sum stops being direct or its dimension overshoots.
+dimension count plus disjointness, and the lattice keeps the answer for
+every pair as its ``complement`` matrix.  Decompositions are ordered
+tuples of nonzero parts whose stacked bases have full rank; they are
+enumerated one part at a time over arrays of prefixes, dropping a prefix
+as soon as its sum stops being direct or its dimension overshoots.
 
 fiep_scan is an exhaustive scan: for every summand X and every
 decomposition M = ⊕ M_i it finds submodules M_i' ≤ M_i making
 M = X ⊕ (⊕ M_i').  The witness is the first such tuple in product order,
 the tuple the literal product scan (oracles.brute_exchange_choice)
 returns.  It is read from tables rather than searched for: the lattice's
-containment matrix and join rows give every running sum J of the parts
-chosen so far, and a per-call table gives the first complement of J
-below the last part.  Product order compares all parts but the last
-before the last one, so the first prefix choice (in product order) that
-has such a complement, completed by the first complement, is the first
-tuple.  On finite-length modules the scan must come back true (exchange
+containment and disjointness matrices and join rows give every running
+sum J of the parts chosen so far, and a per-call table, read from the
+lattice's complement matrix, gives the first complement of J below the
+last part.  Product order compares all parts but the last before the
+last one, so the first prefix choice (in product order) that has such a
+complement, completed by the first complement, is the first tuple.  On finite-length modules the scan must come back true (exchange
 follows from local endomorphism rings of the indecomposable pieces), so a
 false verdict here flags an implementation bug, not a mathematical
 discovery.
@@ -106,7 +107,7 @@ def _decomposition_index_tuples(lat: SubmoduleLattice, n: int) -> tuple:
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
-    dims = np.array([m.dim for m in lat.members])
+    dims = lat.dims
     candidates = np.array([i for i in lat.summand_indices() if dims[i] > 0], dtype=np.int64)
     step = max(1, PASS_CELLS // max(1, len(candidates)))  # prefixes per array pass
     prefixes = np.zeros((1, 0), dtype=np.int64)
@@ -196,13 +197,14 @@ def fiep_scan(
     witness is the first tuple (M_i') in product order over the members
     below each M_i with M = X ⊕ (⊕ M_i').  A tuple qualifies exactly when
     each running sum J = X + M_1' + … + M_k' is direct and the last part
-    M_n' is a complement of J, so the witness is read from two tables
-    built once per call: which members are disjoint, and F[J, B], the
-    first complement of J below B.  For each decomposition prefix the
-    valid prefix choices are listed in product order with their running
-    sums; the first one with F[J, M_n] defined, completed by F[J, M_n],
-    is the first qualifying tuple, because product order compares the
-    prefix before the last part.
+    M_n' is a complement of J, so the witness is read from two tables:
+    the lattice's ``disjoint`` matrix, and F[J, B], the first complement
+    of J below B, built once per call from the lattice's ``complement``
+    matrix.  For each decomposition prefix the valid prefix choices are
+    listed in product order with their running sums; the first one with
+    F[J, M_n] defined, completed by F[J, M_n], is the first qualifying
+    tuple, because product order compares the prefix before the last
+    part.
     """
     families = []
     sampled = False
@@ -214,16 +216,11 @@ def fiep_scan(
             sampled = True
         families.append(family)
 
-    leq = lat.containment
-    dims = np.array([m.dim for m in lat.members])
-    # a nonzero intersection contains an atom
-    atoms = leq[list(lat.atom_indices())]
-    disjoint = ~(atoms.T @ atoms)
-    complement = disjoint & (dims[:, None] + dims[None, :] == lat.module.dim)
+    leq, complement = lat.containment, lat.complement
     lasts = sorted({d[-1] for family in families for d in family})
     column = {b: k for k, b in enumerate(lasts)}
     # F[J, column of B]: the first complement of J below B, or -1
-    F = np.full((len(dims), len(lasts)), -1, dtype=np.int64)
+    F = np.full((len(lat), len(lasts)), -1, dtype=np.int64)
     for J in np.flatnonzero(complement.any(axis=1)):
         comps = np.flatnonzero(complement[J])
         inside = leq[np.ix_(comps, lasts)]
@@ -237,7 +234,7 @@ def fiep_scan(
     # witnesses in scan order, up to the first pair without a choice, which
     # ends the scan
     witnesses = []
-    tuples = _ChoiceTuples(len(dims), n_max)
+    tuples = _ChoiceTuples(len(lat), n_max)
     failure = None
     scan = product(lat.summand_indices(), zip(range(1, n_max + 1), families, layouts))
     for x, (n, family, layout) in scan:
@@ -245,7 +242,7 @@ def fiep_scan(
             continue
         choice = np.empty((len(family), n), dtype=np.int64)
         for ks, *block in layout:
-            choice[ks] = _first_choices(lat, x, *block, disjoint, F)
+            choice[ks] = _first_choices(lat, x, *block, F)
         ok = choice[:, -1] >= 0
         stop = len(family) if ok.all() else int(np.argmin(ok))
         witnesses.extend(zip([x] * stop, family, tuples.of(choice[:stop])))
@@ -321,7 +318,7 @@ def _blocks(family: list, n: int, column: dict, below_count: np.ndarray) -> list
     return blocks
 
 
-def _first_choices(lat, x, prefixes, group, col, disjoint, F) -> np.ndarray:
+def _first_choices(lat, x, prefixes, group, col, F) -> np.ndarray:
     """Witness rows of (x, d) for the decompositions d of one block.
 
     The k-th decomposition has the prefix ``prefixes[group[k]]`` and its
@@ -335,7 +332,7 @@ def _first_choices(lat, x, prefixes, group, col, disjoint, F) -> np.ndarray:
     J = np.full(len(prefixes), x)
     chosen = np.zeros((len(prefixes), 0), dtype=np.int64)
     for t in range(prefixes.shape[1]):
-        s, m = np.nonzero(lat.containment[:, prefixes[owner, t]].T & disjoint[J])
+        s, m = np.nonzero(lat.containment[:, prefixes[owner, t]].T & lat.disjoint[J])
         owner, J = owner[s], lat.joins(J[s], m)
         chosen = np.column_stack([chosen[s], m])
     # per (prefix, last part): the first state whose F entry is defined

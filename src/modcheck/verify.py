@@ -1,10 +1,12 @@
 """The orchestrated verification run: every tracked claim, one manifest.
 
 Each manifest entry is one (claim, fixture) pair, so a failure pinpoints
-both the statement and the instance that broke it.  The static CLAIMS /
-ANCHOR_CHECKS tables at the top are the coverage contract: every claim
-anchor must own at least one manifest entry under the default config,
-and the tests enforce that against a fresh run.
+both the statement and the instance that broke it.  The CLAIMS table
+after the check groups maps each claim anchor to its statement and its
+check group, in run order; every check id starts with its anchor and a
+slash.  It is the coverage contract: every claim anchor must own at
+least one manifest entry under the default config, and the tests enforce
+that against a fresh run.
 
 Entries record a sha256 digest of their witness data; the witness itself
 is attached only on failure (success witnesses can be regenerated, a
@@ -25,6 +27,7 @@ from .corpus import corpus, hollow_uniform_fixtures
 from .errors import ModcheckError
 from .exact import (
     brute_route_scan,
+    default_xs,
     fiep_failure_report,
     verify_direct_case,
     verify_graph_decomposition,
@@ -44,69 +47,6 @@ from .properties import (
 )
 from .summands import fiep_scan
 from .theorems import square_extending_criterion, square_lifting_criterion
-
-CLAIMS = {
-    "running-example": (
-        "the width-4 row module over the 9-dimensional triangular shape "
-        "algebra has exactly six submodules and is hollow and uniform but "
-        "not uniserial"
-    ),
-    "summand-closure": (
-        "every nonzero proper direct summand of a direct sum of hollow "
-        "(resp. uniform) modules is hollow (resp. uniform)"
-    ),
-    "graph-laws": (
-        "the graph of a homomorphism into the second component meets the "
-        "first copy exactly in the kernel, complements the second copy "
-        "exactly when the map is total, and fills the sum with the first "
-        "copy exactly when the map is epi"
-    ),
-    "square-lifting": (
-        "for hollow and uniform U the definitional lifting scan on U ⊕ U "
-        "agrees with both case-analysis variants of the square criterion"
-    ),
-    "square-extending": (
-        "for hollow and uniform U the definitional extending scan on U ⊕ U "
-        "agrees with both case-analysis variants of the square criterion"
-    ),
-    "exchange-property": (
-        "every finite-length corpus module satisfies the finite internal "
-        "exchange property"
-    ),
-    "integer-routes": (
-        "a partial endomorphism a·n ↦ b·n of the integers extends along "
-        "route (i) exactly when a divides b and along route (ii) exactly "
-        "when b divides a; for (a, b) = (2, 3) neither applies"
-    ),
-    "localization-counterexample": (
-        "over the two-prime localization pair the pullback module U has a "
-        "non-local endomorphism ring, U ⊕ U is lifting by explicit case "
-        "analysis, and U ⊕ U fails the finite internal exchange property"
-    ),
-}
-
-# static coverage table: claim anchor -> check-id prefixes owned by it
-ANCHOR_CHECKS = {
-    "running-example": ("running-example/",),
-    "summand-closure": ("summand-closure/",),
-    "graph-laws": ("graph-laws/",),
-    "square-lifting": ("square-lifting/",),
-    "square-extending": ("square-extending/",),
-    "exchange-property": ("exchange-property/",),
-    "integer-routes": ("integer-routes/",),
-    "localization-counterexample": ("localization-counterexample/",),
-}
-
-RUN_ORDER = (
-    "running-example",
-    "summand-closure",
-    "graph-laws",
-    "square-lifting",
-    "square-extending",
-    "exchange-property",
-    "integer-routes",
-    "localization-counterexample",
-)
 
 GRAPH_LAW_PAIRS = (
     ("chain_f2_k2", "chain_f2_k2"),
@@ -141,8 +81,15 @@ class VerifyConfig:
     n_max: int = 3
     seed: int = 1789
     only: tuple | None = None  # anchors to run; None = all
-    direct_xs: tuple = ("1", "3/5", "7/5")
-    partial_xs: tuple = ("4/3", "10/9", "8/3")
+    direct_xs: tuple | None = None  # None = default_xs(p, q)
+    partial_xs: tuple | None = None
+
+    def __post_init__(self):
+        direct, partial = default_xs(self.p, self.q)
+        if self.direct_xs is None:
+            object.__setattr__(self, "direct_xs", direct)
+        if self.partial_xs is None:
+            object.__setattr__(self, "partial_xs", partial)
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -237,8 +184,7 @@ def _run_check(check_id: str, claim: str, fn) -> CheckResult:
 # -- check groups, in run order ----------------------------------------------
 
 
-def _checks_running_example(cfg: VerifyConfig, fixtures) -> list:
-    claim = CLAIMS["running-example"]
+def _checks_running_example(cfg: VerifyConfig, fixtures, claim: str) -> list:
     out = []
     for fx in fixtures:
         if not fx.name.startswith("tri4_f") or fx.name.endswith("_sq"):
@@ -269,8 +215,7 @@ def _checks_running_example(cfg: VerifyConfig, fixtures) -> list:
     return out
 
 
-def _checks_summand_closure(cfg: VerifyConfig, fixtures) -> list:
-    claim = CLAIMS["summand-closure"]
+def _checks_summand_closure(cfg: VerifyConfig, fixtures, claim: str) -> list:
     out = []
     for fx in fixtures:
         if not fx.name.endswith("_sq"):
@@ -296,8 +241,7 @@ def _checks_summand_closure(cfg: VerifyConfig, fixtures) -> list:
     return out
 
 
-def _checks_graph_laws(cfg: VerifyConfig, fixtures) -> list:
-    claim = CLAIMS["graph-laws"]
+def _checks_graph_laws(cfg: VerifyConfig, fixtures, claim: str) -> list:
     by_name = {f.name: f for f in fixtures}
     out = []
     for an, bn in GRAPH_LAW_PAIRS:
@@ -333,8 +277,7 @@ def _checks_graph_laws(cfg: VerifyConfig, fixtures) -> list:
     return out
 
 
-def _checks_square_criteria(cfg: VerifyConfig, fixtures, which: str) -> list:
-    claim = CLAIMS[f"square-{which}"]
+def _checks_square_criteria(cfg: VerifyConfig, fixtures, claim: str, which: str) -> list:
     scan = lifting_scan if which == "lifting" else extending_scan
     criterion = (
         square_lifting_criterion if which == "lifting" else square_extending_criterion
@@ -362,8 +305,7 @@ def _checks_square_criteria(cfg: VerifyConfig, fixtures, which: str) -> list:
     return out
 
 
-def _checks_exchange(cfg: VerifyConfig, fixtures) -> list:
-    claim = CLAIMS["exchange-property"]
+def _checks_exchange(cfg: VerifyConfig, fixtures, claim: str) -> list:
     out = []
     for fx in fixtures:
 
@@ -384,8 +326,7 @@ def _checks_exchange(cfg: VerifyConfig, fixtures) -> list:
     return out
 
 
-def _checks_integer_routes(cfg: VerifyConfig) -> list:
-    claim = CLAIMS["integer-routes"]
+def _checks_integer_routes(cfg: VerifyConfig, fixtures, claim: str) -> list:
 
     def check():
         report = z_extension_routes(2, 3)
@@ -404,8 +345,7 @@ def _checks_integer_routes(cfg: VerifyConfig) -> list:
     return [_run_check("integer-routes/a2-b3", claim, check)]
 
 
-def _checks_localization(cfg: VerifyConfig) -> list:
-    claim = CLAIMS["localization-counterexample"]
+def _checks_localization(cfg: VerifyConfig, fixtures, claim: str) -> list:
     p, q = cfg.p, cfg.q
     out = []
 
@@ -477,6 +417,62 @@ def _checks_localization(cfg: VerifyConfig) -> list:
     return out
 
 
+# claim anchor -> (statement, check group), in run order; a check group
+# takes (cfg, fixtures, statement) and returns its CheckResults, each with a
+# check id that starts with the anchor and a slash
+CLAIMS = {
+    "running-example": (
+        "the width-4 row module over the 9-dimensional triangular shape "
+        "algebra has exactly six submodules and is hollow and uniform but "
+        "not uniserial",
+        _checks_running_example,
+    ),
+    "summand-closure": (
+        "every nonzero proper direct summand of a direct sum of hollow "
+        "(resp. uniform) modules is hollow (resp. uniform)",
+        _checks_summand_closure,
+    ),
+    "graph-laws": (
+        "the graph of a homomorphism into the second component meets the "
+        "first copy exactly in the kernel, complements the second copy "
+        "exactly when the map is total, and fills the sum with the first "
+        "copy exactly when the map is epi",
+        _checks_graph_laws,
+    ),
+    "square-lifting": (
+        "for hollow and uniform U the definitional lifting scan on U ⊕ U "
+        "agrees with both case-analysis variants of the square criterion",
+        functools.partial(_checks_square_criteria, which="lifting"),
+    ),
+    "square-extending": (
+        "for hollow and uniform U the definitional extending scan on U ⊕ U "
+        "agrees with both case-analysis variants of the square criterion",
+        functools.partial(_checks_square_criteria, which="extending"),
+    ),
+    "exchange-property": (
+        "every finite-length corpus module satisfies the finite internal "
+        "exchange property",
+        _checks_exchange,
+    ),
+    "integer-routes": (
+        "a partial endomorphism a·n ↦ b·n of the integers extends along "
+        "route (i) exactly when a divides b and along route (ii) exactly "
+        "when b divides a; for (a, b) = (2, 3) neither applies",
+        _checks_integer_routes,
+    ),
+    "localization-counterexample": (
+        "over the two-prime localization pair the pullback module U has a "
+        "non-local endomorphism ring, U ⊕ U is lifting by explicit case "
+        "analysis, and U ⊕ U fails the finite internal exchange property",
+        _checks_localization,
+    ),
+}
+
+RUN_ORDER = tuple(CLAIMS)
+# check-id prefixes owned by each anchor
+ANCHOR_CHECKS = {anchor: (anchor + "/",) for anchor in CLAIMS}
+
+
 def verify_claims(config: VerifyConfig | None = None) -> Manifest:
     """Run every selected check group in order and assemble the manifest."""
     cfg = config or VerifyConfig()
@@ -486,24 +482,8 @@ def verify_claims(config: VerifyConfig | None = None) -> Manifest:
         raise ValueError(f"unknown check anchors: {unknown}")
     fixtures = corpus()
     results = []
-    for anchor in RUN_ORDER:
-        if anchor not in selected:
-            continue
-        if anchor == "running-example":
-            results += _checks_running_example(cfg, fixtures)
-        elif anchor == "summand-closure":
-            results += _checks_summand_closure(cfg, fixtures)
-        elif anchor == "graph-laws":
-            results += _checks_graph_laws(cfg, fixtures)
-        elif anchor == "square-lifting":
-            results += _checks_square_criteria(cfg, fixtures, "lifting")
-        elif anchor == "square-extending":
-            results += _checks_square_criteria(cfg, fixtures, "extending")
-        elif anchor == "exchange-property":
-            results += _checks_exchange(cfg, fixtures)
-        elif anchor == "integer-routes":
-            results += _checks_integer_routes(cfg)
-        elif anchor == "localization-counterexample":
-            results += _checks_localization(cfg)
+    for anchor, (claim, checks) in CLAIMS.items():
+        if anchor in selected:
+            results += checks(cfg, fixtures, claim)
     results.sort(key=lambda c: c.check_id)
     return Manifest(cfg, tuple(results))

@@ -237,6 +237,24 @@ def test_cli_exact_single_x_and_zext(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("p, q", [(3, 2), (2, 5), (5, 3)])
+def test_cli_exact_and_verify_pass_at_other_primes(capsys, p, q):
+    # the default x values follow --p/--q
+    code, out, _ = run_cli(capsys, "exact", "--p", str(p), "--q", str(q))
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass" and doc["unresolved"] == []
+    cases = [c.get("case") for c in doc["certificates"]]
+    assert cases.count("direct") == cases.count("partial") == cases.count("graph") == 3
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--p", str(p), "--q", str(q), "--only", "localization-counterexample"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert len(doc["checks"]) == 11
+    assert all(c["verdict"] == "pass" for c in doc["checks"])
+
+
 def test_cli_verify_only_anchor(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "integer-routes")
     assert code == 0

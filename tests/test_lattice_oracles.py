@@ -177,14 +177,23 @@ def test_lattices_of_basis_changes_equal_brute_submodules(fixtures):
 
 
 def test_joins_equal_the_point_set_join_on_every_lattice(fixtures):
+    # and the order matrices read off containment equal their point-set
+    # definitions: meeting in the zero point, joining to the full member
     for fx in fixtures:
         lat = lattice_of(fx.module)
         n = len(lat)
         engine = lat.joins(*np.indices((n, n)))
+        dims = [m.dim for m in lat.members]
         for i in range(n):
             for j in range(i, n):
                 k = oracles.brute_join(lat, i, j)
                 assert engine[i, j] == engine[j, i] == k, (fx.name, i, j)
+                disjoint = lat.bits[i] & lat.bits[j] == 1
+                assert lat.disjoint[i, j] == lat.disjoint[j, i] == disjoint, (fx.name, i, j)
+                cospan = k == lat.full_index
+                assert lat.cospan[i, j] == lat.cospan[j, i] == cospan, (fx.name, i, j)
+                complement = disjoint and dims[i] + dims[j] == fx.module.dim
+                assert lat.complement[i, j] == lat.complement[j, i] == complement, (fx.name, i, j)
 
 
 def test_lattice_over_a_large_prime_crosses_point_chunks():

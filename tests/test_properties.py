@@ -5,6 +5,9 @@ submodule) pair the lattice produces, against the sumset/intersection
 oracles that know nothing about radicals or socles.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from modcheck import oracles
@@ -190,3 +193,94 @@ def test_chain_pairs_lift_exactly_when_lengths_are_adjacent():
                 assert rep.verdict == expected, (p, ka, kb, rep.property_name)
                 if not rep.verdict:
                     assert rep.violating_basis is not None
+
+
+def _scan_pin_modules(fixtures):
+    """Every corpus fixture, the zero module and the failing chain pairs of
+    test_chain_pairs_lift_exactly_when_lengths_are_adjacent, by name."""
+    from modcheck.algebra import shaped_matrix_algebra
+    from modcheck.field import PrimeField
+    from modcheck.modules import direct_sum
+
+    modules = {fx.name: fx.module for fx in fixtures}
+    modules["zero"] = row_module(shaped_matrix_algebra(PrimeField(2), ((1, 1), (0, 1))), 0)
+    for p in (2, 3):
+        alg = truncated_poly_algebra(p, 4)
+        for ka, kb in ((1, 3), (2, 4)):
+            modules[f"chain_pair_f{p}_{ka}_{kb}"] = direct_sum(
+                truncated_poly_module(alg, ka), truncated_poly_module(alg, kb)
+            ).module
+    return modules
+
+
+def _scan_pin_doc(lat):
+    from modcheck.properties import (
+        extending_scan,
+        hollow_scan,
+        indecomposable_scan,
+        lifting_scan,
+        uniform_scan,
+        uniserial_scan,
+    )
+
+    def verdict(scan):
+        try:
+            return scan(lat)
+        except ZeroModule:
+            return "ZeroModule"
+
+    return {
+        "lifting": lifting_scan(lat).to_json(),
+        "extending": extending_scan(lat).to_json(),
+        "radical": lat.radical_index(),
+        "socle": lat.socle_index(),
+        "complements": [lat.complement_index(i) for i in range(len(lat))],
+        "hollow": verdict(hollow_scan),
+        "uniform": verdict(uniform_scan),
+        "uniserial": uniserial_scan(lat),
+        "indecomposable": indecomposable_scan(lat),
+    }
+
+
+# sha256 of json.dumps(_scan_pin_doc(lat), sort_keys=True): the lifting and
+# extending reports with their witnesses, radical, socle, first complements
+# and the hollow/uniform/uniserial/indecomposable verdicts
+SCAN_PIN_SHA256 = {
+    "chain_f2_k1": "2b47e1dda78793ada848282bcdb5afa5ef060b5e14b55dbff0540a76d27afceb",
+    "chain_f2_k1_sq": "de7fdf3c8b12bf1490792c49a50110012691f6a6e79f1fc2b4d3b03336c905da",
+    "chain_f2_k2": "7f624a91435d5c255368bd14df80345b4c217eecf2bfc37c94eee738e8990d18",
+    "chain_f2_k2_sq": "755924340d76f8623255b4f8b0daa28899f98d22b50431ae0fbba21dabb20d9d",
+    "chain_f2_k3": "93d7f5e838303ed1c7743f768a983a55181fa992f29a195e1dabaa1d23174551",
+    "chain_f2_k3_sq": "0b98720c7f18ee83b5cf4e6bb856e481b3233f38930c2034c1d29da61fe87c07",
+    "chain_f2_k4": "32db1cf0ece9eb576dbe1d02abd443ecf2bb082d6524d6fa0b28a700e0bc1eb4",
+    "chain_f2_k4_sq": "8113c611ddfeff53695fb4e817994561e91efb916a8a9624189a90b33dae1bdf",
+    "chain_f3_k1": "2b47e1dda78793ada848282bcdb5afa5ef060b5e14b55dbff0540a76d27afceb",
+    "chain_f3_k1_sq": "4fa9aa3e6477623941aadbe03c62a7014cc1be1ff0d70561ff05448a1bef8825",
+    "chain_f3_k2": "7f624a91435d5c255368bd14df80345b4c217eecf2bfc37c94eee738e8990d18",
+    "chain_f3_k2_sq": "1ac0b6fcdf71850f6b699fe184a2e0feb011825d06379f29181028b74726ea20",
+    "chain_f3_k3": "93d7f5e838303ed1c7743f768a983a55181fa992f29a195e1dabaa1d23174551",
+    "chain_f3_k3_sq": "9ea8a3f8482b3e258d83e8939a646c4626048e1e97f7419b0b6ba3201bedaa56",
+    "chain_f3_k4": "32db1cf0ece9eb576dbe1d02abd443ecf2bb082d6524d6fa0b28a700e0bc1eb4",
+    "chain_f3_k4_sq": "5d5bb91a0309c97339c74dec57709ace3deb75a4cc85735d472abb9358acf04d",
+    "chain_pair_f2_1_3": "72387cfe5b8f5acef82d7441e93ac300fe7a7ad290dabbd9587c44b7418970c8",
+    "chain_pair_f2_2_4": "f888f09631f3362e14005dca91f64972395d98b31e3b849f603353a866a5c564",
+    "chain_pair_f3_1_3": "a92d46945680642c270e52f1ddbffe5fae1fd0bb3b15870d42d22b3fe62677fc",
+    "chain_pair_f3_2_4": "fa5a9901a79834eb9018708a288dc1d6a1644217daa90d5b2792fec9a20a1fd6",
+    "mat2_simple_f2": "2b47e1dda78793ada848282bcdb5afa5ef060b5e14b55dbff0540a76d27afceb",
+    "mat2_simple_f2_sq": "de7fdf3c8b12bf1490792c49a50110012691f6a6e79f1fc2b4d3b03336c905da",
+    "semisimple2_f2": "7b0e336af6d870dc5493017ffbfead94aec2fa6a64dd8cc064a69c54846e1470",
+    "semisimple3_f2": "2b0be26966eeec33c0e57be04ac50403a40e8009cc920acf6a5266e95c5c8ce3",
+    "tri4_f2": "95b55a27b9ba3ad0c3269a0381b9c9ff4937568c6a482c1297294033c0006edc",
+    "tri4_f2_sq": "51de67c67d4aaaf8a9697bd84f806716358939834f80dd2b758a95677ba6e236",
+    "tri4_f3": "95b55a27b9ba3ad0c3269a0381b9c9ff4937568c6a482c1297294033c0006edc",
+    "tri4_f3_sq": "7fd533075dc8bb595137d13ba17f2d636d0976f2652d6253fa732e9b62ec682d",
+    "zero": "74208d9c056b3c15010cfe2eae8bf68b4e3ad593121ce5a0b5880b1847a3d7eb",
+}
+
+
+def test_scan_witnesses_are_pinned(fixtures):
+    modules = _scan_pin_modules(fixtures)
+    assert set(modules) == set(SCAN_PIN_SHA256)
+    for name, M in modules.items():
+        doc = json.dumps(_scan_pin_doc(lattice_of(M)), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == SCAN_PIN_SHA256[name], name
