@@ -1,7 +1,7 @@
 """Exhaustive submodule lattices for small modules.
 
 Every submodule over a finite ring is a sum of cyclic submodules, so the
-enumeration first finds every cyclic closure and then closes the member
+general route first finds every cyclic closure and then closes the member
 set under member + cyclic sums; a single worklist pass reaches everything.
 Both phases run on the stack kernel ``rref_stack``.  The cyclic phase
 multiplies all p^n points by the action matrices in one product and
@@ -11,11 +11,31 @@ per worklist member, with the member's basis on top of every zero-padded
 cyclic basis.  Reduced echelon form is canonical, so the bytes of a
 reduced basis identify its submodule.
 
-Each member carries a bitset of the point indices it contains; the
-N×N containment matrix is built from those bitsets once, as subset tests,
-and kept as ``containment``.  The lattice order is by (dimension, basis),
-so indices are stable across runs.  The Hasse diagram is read from the
-containment matrix, and so is every other order question:
+A module whose action matrices are all block-diagonal at one split, as
+``direct_sum`` and the corpus squares build them, takes the Goursat route
+instead.  By Goursat's lemma (É. Goursat, Ann. Sci. ÉNS 6, 1889) every
+submodule of A ⊕ B is (A₁ ⊕ B₁) + {a + θ(a)} for exactly one choice of
+A₁ ≤ A₂ ≤ A, B₁ ≤ B₂ ≤ B and isomorphism θ: A₂/A₁ → B₂/B₁.  The route
+takes the lattices of A and B from lattice_of, so a sum of three pieces
+recurses, and for every pair of intervals with equal quotient dimension
+it stacks the hom space of the two quotients, keeps the invertible
+matrices and reduces each graph together with A₁ ⊕ B₁ in stack passes of
+POINT_CHUNK matrices.  Its search follows the intervals and their
+isomorphisms, not the p^n points.  The caps are checked before either
+route starts, so the route reaches no module the general one refuses.
+
+A stack reduction of a set that spans a submodule yields its reduced
+basis, so members of either route are built without the validating
+constructor's closure check; the test suite rebuilds every member
+through that constructor.
+
+Each member carries a bitset of the point indices it contains.  The
+N×N containment matrix is built from those bitsets once, packed as
+uint64 words, as subset tests over blocks of rows, and kept as
+``containment``.  The lattice order is by (dimension, basis), so indices
+are stable across runs and both routes give the same lattice.  The Hasse
+diagram is read from the containment matrix, and so is every other order
+question:
 
 - join reads a row of the join table, built from that matrix on first
   use: row i holds, for every j, the first member above both i and j,
@@ -39,20 +59,22 @@ out lattices from one bounded memo keyed on the module.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import TooLarge
-from .linalg import point_coords, rref_stack, span_point_bits
-from .modules import RepModule, Submodule
+from .homs import hom_space
+from .linalg import invertible_mask, point_coords, rref_stack, span_point_bits
+from .modules import RepModule, Submodule, make_submodule, quotient_module
 
 DEFAULT_CAP_DIM = 8
 DEFAULT_CAP_POINTS = 1 << 16
 LATTICE_MEMO_SIZE = 128  # lattices lattice_of keeps, least recently used dropped first
-POINT_CHUNK = 1 << 10  # points per stack pass of the cyclic phase, so memory stays flat in p^n
+POINT_CHUNK = 1 << 10  # matrices per stack pass, so memory stays flat in p^n
+CONTAINMENT_WORDS = 1 << 16  # uint64 words one containment broadcast holds
 
 
 @dataclass(frozen=True)
@@ -233,10 +255,6 @@ def lattice_of(
     return lat
 
 
-def _as_basis(rows: np.ndarray) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def enumerate_submodules(
     M: RepModule,
     cap_dim: int = DEFAULT_CAP_DIM,
@@ -245,9 +263,39 @@ def enumerate_submodules(
     """Every submodule of M, with the full containment order.
 
     Raises TooLarge when the module dimension or the point count p^dim
-    exceeds the caps; raise the caps explicitly to push further.
+    exceeds the caps; raise the caps explicitly to push further.  A module
+    whose action matrices are all block-diagonal at one split takes the
+    Goursat route, every other module the general one.
     """
     _check_caps(M, cap_dim, cap_points)
+    k = _block_split(M)
+    if k is None:
+        return _enumerate_general(M)
+    return _enumerate_goursat(M, k, cap_dim, cap_points)
+
+
+def _block_split(M: RepModule) -> int | None:
+    """The first k at which every action matrix is block-diagonal, or None."""
+    n = M.dim
+    actions = np.array(M.actions, dtype=np.int64).reshape(M.algebra.dim, n, n)
+    return next(
+        (k for k in range(1, n) if not actions[:, :k, k:].any() and not actions[:, k:, :k].any()),
+        None,
+    )
+
+
+def _member(M: RepModule, rows: np.ndarray) -> Submodule:
+    """The submodule with these reduced rows as its basis.
+
+    Only for rows out of a stack reduction of a generating set that spans
+    a submodule, so the validating constructor is skipped.
+    """
+    pivots = tuple(int(row.argmax()) for row in rows != 0)
+    return Submodule._trusted(M, tuple(map(tuple, rows.tolist())), pivots)
+
+
+def _enumerate_general(M: RepModule) -> SubmoduleLattice:
+    """Every submodule of M as a sum of cyclic submodules (any module)."""
     p = M.field.p
     n = M.dim
     actions = np.array(M.actions, dtype=np.int64).reshape(M.algebra.dim, n, n)
@@ -263,7 +311,7 @@ def enumerate_submodules(
         for rows, k in zip(red, ranks):
             key = rows[:k].tobytes()
             if key not in seen:
-                seen[key] = Submodule(M, _as_basis(rows[:k]))
+                seen[key] = _member(M, rows[:k])
     cyclics = [c for c in seen.values() if c.dim]
 
     # closure phase: every member is a sum of nonzero cyclics, so one stack
@@ -283,17 +331,117 @@ def enumerate_submodules(
         for i in np.flatnonzero(ranks > member.dim):
             key = red[i, : ranks[i]].tobytes()
             if key not in seen:
-                s = Submodule(M, _as_basis(red[i, : ranks[i]]))
+                s = _member(M, red[i, : ranks[i]])
                 seen[key] = s
                 queue.append(s)
+    return _ordered_lattice(M, seen.values())
 
-    members = tuple(sorted(seen.values(), key=lambda s: s.sort_key()))
+
+def _enumerate_goursat(M: RepModule, k: int, cap_dim: int, cap_points: int) -> SubmoduleLattice:
+    """Every submodule of M = A ⊕ B, split at coordinate k, by Goursat's lemma.
+
+    Each member is the span of A₁ ⊕ B₁ and the graph {a + θ(a)} of one
+    isomorphism θ: A₂/A₁ → B₂/B₁, over every pair of intervals with equal
+    quotient dimension.  The generating sets are stacked by member
+    dimension and reduced to their canonical bases in stack passes.
+    """
+    p = M.field.p
+    n = M.dim
+    actions_a, actions_b = _block_actions(M, 0, k), _block_actions(M, k, n)
+    intervals_a = _intervals(lattice_of(RepModule(M.algebra, k, actions_a), cap_dim, cap_points))
+    if actions_b == actions_a:  # a square A ⊕ A
+        intervals_b = intervals_a
+    else:
+        B = RepModule(M.algebra, n - k, actions_b)
+        intervals_b = _intervals(lattice_of(B, cap_dim, cap_points))
+    isomorphisms = {}  # (A₂/A₁, B₂/B₁) -> stack of every isomorphism
+    stacks = defaultdict(list)  # member dimension -> stacks of generating sets
+    for d in intervals_a.keys() & intervals_b.keys():
+        for low_a, lift_a, quot_a in intervals_a[d]:
+            for low_b, lift_b, quot_b in intervals_b[d]:
+                # A₁ ⊕ B₁, the rows every graph of this pair of intervals shares
+                fixed = np.zeros((len(low_a) + len(low_b), n), dtype=np.int64)
+                fixed[: len(low_a), :k] = low_a
+                fixed[len(low_a) :, k:] = low_b
+                if d == 0:
+                    stacks[len(fixed)].append(fixed[None])
+                    continue
+                if (quot_a, quot_b) not in isomorphisms:
+                    isomorphisms[quot_a, quot_b] = _isomorphisms(quot_a, quot_b)
+                isos = isomorphisms[quot_a, quot_b]
+                graphs = np.zeros((len(isos), len(fixed) + d, n), dtype=np.int64)
+                graphs[:, : len(fixed)] = fixed
+                graphs[:, len(fixed) :, :k] = lift_a
+                graphs[:, len(fixed) :, k:] = isos @ lift_b % p
+                stacks[len(fixed) + d].append(graphs)
+    members = []
+    for parts in stacks.values():
+        stack = np.concatenate(parts)
+        for start in range(0, len(stack), POINT_CHUNK):
+            red, _ = rref_stack(stack[start : start + POINT_CHUNK], p)
+            members.extend(_member(M, rows) for rows in red)
+    return _ordered_lattice(M, members)
+
+
+def _block_actions(M: RepModule, lo: int, hi: int) -> tuple:
+    """The action matrices on coordinates lo..hi-1 of a block-diagonal M."""
+    return tuple(tuple(row[lo:hi] for row in A[lo:hi]) for A in M.actions)
+
+
+def _intervals(lat: SubmoduleLattice) -> dict:
+    """Every interval A₁ ≤ A₂ of a lattice, by quotient dimension d.
+
+    Each is (basis of A₁, lift of the basis of A₂/A₁ into A, A₂/A₁), the
+    quotient None where d = 0.
+    """
+    n = lat.module.dim
+    out = defaultdict(list)
+    for hi, top in enumerate(lat.members):
+        for lo in np.flatnonzero(lat.containment[:, hi]):
+            bottom = lat.members[lo]
+            low = np.array(bottom.basis, dtype=np.int64).reshape(bottom.dim, n)
+            if lo == hi:
+                out[0].append((low, np.zeros((0, n), dtype=np.int64), None))
+                continue
+            # A₁ in the basis coordinates of A₂: a reduced basis vector's
+            # coordinate is the entry at its pivot column
+            inner = make_submodule(
+                top.as_module(), [[v[c] for c in top.pivots] for v in bottom.basis]
+            )
+            quot, _ = quotient_module(top.as_module(), inner)
+            # quotient_module's basis of A₂/A₁ is the image of A₂'s basis
+            # vectors at the non-pivot columns of A₁
+            lift = np.array(
+                [row for j, row in enumerate(top.basis) if j not in inner.pivots], dtype=np.int64
+            )
+            out[quot.dim].append((low, lift, quot))
+    return out
+
+
+def _isomorphisms(Q: RepModule, R: RepModule) -> np.ndarray:
+    """Every isomorphism Q → R, as a (K, d, d) stack of matrices."""
+    p = Q.field.p
+    d = Q.dim
+    basis = np.array(hom_space(Q, R), dtype=np.int64).reshape(-1, d * d)
+    count = p ** len(basis)
+    found = []
+    for start in range(0, count, POINT_CHUNK):
+        coeffs = point_coords(np.arange(start, min(start + POINT_CHUNK, count)), len(basis), p)
+        mats = (coeffs @ basis % p).reshape(-1, d, d)
+        found.append(mats[invertible_mask(mats, p)])
+    return np.concatenate(found)
+
+
+def _ordered_lattice(M: RepModule, members) -> SubmoduleLattice:
+    """The lattice on M's complete member set: canonical order, point
+    bitsets, containment and Hasse edges."""
+    p = M.field.p
+    n = M.dim
+    members = tuple(sorted(members, key=lambda s: s.sort_key()))
     bits = tuple(span_point_bits(s.basis, n, p) for s in members)
 
     N = len(members)
-    leq = np.array(
-        [[bits[i] & ~bits[j] == 0 for j in range(N)] for i in range(N)], dtype=bool
-    )
+    leq = _containment(bits, p**n)
     # strict containment with something in between, via one boolean product;
     # covers are the strict containments without a middle member
     proper = leq & ~np.eye(N, dtype=bool)
@@ -309,3 +457,23 @@ def enumerate_submodules(
         _index_by_basis={s.basis: i for i, s in enumerate(members)},
         containment=leq,
     )
+
+
+def _containment(bits: tuple, n_points: int) -> np.ndarray:
+    """leq[i, j]: is bitset i a subset of bitset j?
+
+    The bitsets are packed as rows of uint64 words; each broadcast tests a
+    block of rows against every row, CONTAINMENT_WORDS words at a time.
+    """
+    N = len(bits)
+    width = 8 * -(-n_points // 64)
+    words = np.frombuffer(
+        b"".join(b.to_bytes(width, "little") for b in bits), dtype="<u8"
+    ).reshape(N, -1)
+    outside = ~words
+    block = max(1, CONTAINMENT_WORDS // words.size)
+    leq = np.empty((N, N), dtype=bool)
+    for start in range(0, N, block):
+        rows = words[start : start + block, None]
+        leq[start : start + block] = ((rows & outside[None]) == 0).all(axis=2)
+    return leq

@@ -91,6 +91,21 @@ class Submodule:
         # and hashing are unaffected
         object.__setattr__(self, "_pivots", pivots)
 
+    @classmethod
+    def _trusted(cls, parent: RepModule, basis: Mat, pivots: tuple) -> "Submodule":
+        """A submodule whose basis is already reduced and action-closed.
+
+        For bases that come out of the lattice's stack reductions, which
+        span closed sets by construction; skips the re-reduction and the
+        per-vector closure check of the validating constructor.  The test
+        suite rebuilds every lattice member through that constructor.
+        """
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "basis", basis)
+        object.__setattr__(sub, "_pivots", pivots)
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -250,20 +250,35 @@ def _direct_join(tables, start: int, rest) -> int | None:
 
 def brute_decompositions(lat, n: int, tables: PointSetTables | None = None) -> tuple:
     """Ordered n-part internal direct sums of the lattice's module, as index
-    tuples: every n-tuple of nonzero summands, kept when its dimensions add
-    up to the module's and its running joins are direct."""
+    tuples: every n-tuple of nonzero summands, in product order, whose
+    dimensions add up to the module's and whose running joins are direct.
+
+    The product is walked in its own order, and a prefix is cut as soon as
+    its dimensions overshoot or its running join stops being direct: every
+    tuple that extends such a prefix fails the same test."""
     dim = lat.module.dim
     if n == 1:
         return ((lat.full_index,),) if dim > 0 else ()
     tables = tables or PointSetTables(lat)
     dims = tables.dims
     candidates = [i for i in lat.summand_indices() if dims[i] > 0]
-    return tuple(
-        idxs
-        for idxs in product(candidates, repeat=n)
-        if sum(map(dims.__getitem__, idxs)) == dim
-        and _direct_join(tables, idxs[0], idxs[1:]) is not None
-    )
+    out = []
+
+    def walk(prefix, acc, acc_dim):
+        if len(prefix) == n:
+            if acc_dim == dim:
+                out.append(prefix)
+            return
+        for i in candidates:
+            total = acc_dim + dims[i]
+            if total > dim:
+                continue
+            join = tables.join(acc, i) if prefix else i
+            if dims[join] == total:
+                walk(prefix + (i,), join, total)
+
+    walk((), None, 0)
+    return tuple(out)
 
 
 def brute_exchange_choice(

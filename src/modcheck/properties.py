@@ -139,6 +139,30 @@ def uniform_scan(lat: SubmoduleLattice) -> bool:
     return not lat.disjoint[1:, 1:].any()
 
 
+def hollow_interval_scan(lat: SubmoduleLattice, i: int) -> bool:
+    """hollow_scan of member i, read on the interval [0, i] of lat.
+
+    The submodules of member i are the members below it, and their sums
+    are the same in i as in M, so no two proper ones may join to i.
+    """
+    if i == lat.zero_index:
+        raise ZeroModule("hollow is undefined for the zero module")
+    below = np.flatnonzero(lat.containment[:, i])[:-1]  # i itself is the last
+    return not (lat.joins(below[:, None], below[None, :]) == i).any()
+
+
+def uniform_interval_scan(lat: SubmoduleLattice, i: int) -> bool:
+    """uniform_scan of member i, read on the interval [0, i] of lat.
+
+    Intersections are the same in i as in M, so no two nonzero members
+    below i may be disjoint.
+    """
+    if i == lat.zero_index:
+        raise ZeroModule("uniform is undefined for the zero module")
+    below = np.flatnonzero(lat.containment[1:, i]) + 1
+    return not lat.disjoint[np.ix_(below, below)].any()
+
+
 def uniserial_scan(lat: SubmoduleLattice) -> bool:
     """Submodules totally ordered by inclusion."""
     return bool((lat.containment | lat.containment.T).all())

@@ -40,8 +40,10 @@ from .lattice import lattice_of
 from .modules import ModuleHom, direct_sum
 from .properties import (
     extending_scan,
+    hollow_interval_scan,
     hollow_scan,
     lifting_scan,
+    uniform_interval_scan,
     uniform_scan,
     uniserial_scan,
 )
@@ -228,8 +230,7 @@ def _checks_summand_closure(cfg: VerifyConfig, fixtures, claim: str) -> list:
                 part = lat.members[i]
                 if part.dim == 0 or part.dim == fx.module.dim:
                     continue
-                piece = lattice_of(part.as_module(), cap_dim=cfg.cap_dim)
-                if not (hollow_scan(piece) and uniform_scan(piece)):
+                if not (hollow_interval_scan(lat, i) and uniform_interval_scan(lat, i)):
                     return False, {
                         "fixture": fx.name,
                         "summand_basis": [list(r) for r in part.basis],

@@ -3,7 +3,7 @@
 import dataclasses
 import hashlib
 import random
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 
 import numpy as np
@@ -11,7 +11,12 @@ import pytest
 from helpers import rebased
 
 from modcheck.lattice import enumerate_submodules, lattice_of
-from modcheck.oracles import PointSetTables, brute_decompositions, brute_exchange_choice
+from modcheck.oracles import (
+    PointSetTables,
+    _direct_join,
+    brute_decompositions,
+    brute_exchange_choice,
+)
 from modcheck import summands
 from modcheck.summands import (
     DECOMP_SAMPLE_CAP,
@@ -136,6 +141,32 @@ def test_decompositions_match_the_product_filter(fixtures):
                 fx.name,
                 n,
             )
+
+
+def literal_decompositions(lat, n: int, tables) -> tuple:
+    """The n-tuples of nonzero summands in product order, filtered afterwards."""
+    dims = tables.dims
+    candidates = [i for i in lat.summand_indices() if dims[i] > 0]
+    return tuple(
+        idxs
+        for idxs in product(candidates, repeat=n)
+        if sum(map(dims.__getitem__, idxs)) == lat.module.dim
+        and _direct_join(tables, idxs[0], idxs[1:]) is not None
+    )
+
+
+def test_pruned_decompositions_equal_the_literal_product(fixtures):
+    checked = 0
+    for fx in fixtures:
+        lat = lattice_of(fx.module)
+        tables = PointSetTables(lat)
+        n_summands = sum(1 for i in lat.summand_indices() if tables.dims[i] > 0)
+        for n in (2, 3, 4):
+            if n_summands**n <= 100_000:
+                literal = literal_decompositions(lat, n, tables)
+                assert brute_decompositions(lat, n, tables) == literal, (fx.name, n)
+                checked += 1
+    assert checked == 68
 
 
 def test_fiep_scan_matches_the_oracle_report(fixtures):

@@ -11,6 +11,7 @@ from helpers import point_set, rebased
 from modcheck import lattice, oracles
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import TooLarge
+from modcheck.modules import Submodule, direct_sum
 from modcheck.properties import lattice_of, property_report
 from modcheck.verify import VerifyConfig, verify_claims
 
@@ -93,8 +94,10 @@ def enumerations(monkeypatch):
 
 def test_each_module_is_enumerated_once(enumerations, fixtures_by_name):
     calls, sizes = enumerations
-    property_report(fixtures_by_name["chain_f2_k3_sq"].module)
-    assert len(calls) == len(set(calls)) == 1
+    # the square's lattice is built from its component's by Goursat's lemma
+    square, component = (fixtures_by_name[n].module for n in ("chain_f2_k3_sq", "chain_f2_k3"))
+    property_report(square)
+    assert calls == [square, component]
 
     # exchange-property revisits the squares summand-closure enumerated
     lattice._memo.clear()
@@ -205,3 +208,80 @@ def test_lattice_over_a_large_prime_crosses_point_chunks():
     lat = lattice.enumerate_submodules(M)
     assert [m.basis for m in lat.members] == [(), ((1,),)]
     assert lat.hasse_edges == ((0, 1),)
+
+
+def generated_sums(fixtures) -> list:
+    """Every A ⊕ B of two different corpus base modules over one algebra,
+    of dimension at most 6, and one triple sum (A ⊕ B) ⊕ C."""
+    base = [fx.module for fx in fixtures if not fx.name.endswith("_sq")]
+    sums = [
+        direct_sum(A, B).module
+        for A in base
+        for B in base
+        if A != B and A.algebra == B.algebra and A.dim + B.dim <= 6
+    ]
+    by_name = {fx.name: fx.module for fx in fixtures}
+    A, B, C = (by_name[n] for n in ("chain_f3_k2", "chain_f3_k1", "chain_f3_k2"))
+    return sums + [direct_sum(direct_sum(A, B).module, C).module]
+
+
+def test_goursat_route_equals_the_general_route(fixtures):
+    squares = [fx.module for fx in fixtures if fx.name.endswith("_sq")]
+    sums = generated_sums(fixtures)
+    assert len(squares) == 11 and len(sums) == 21
+    for M in squares + sums:
+        assert lattice._block_split(M) is not None
+        goursat = lattice.enumerate_submodules(M)
+        general = lattice._enumerate_general(M)
+        assert goursat.to_json() == general.to_json(), M
+        assert goursat.bits == general.bits, M
+        assert (goursat.containment == general.containment).all(), M
+
+
+def test_basis_changes_of_squares_take_the_general_route(fixtures, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Goursat route taken by a module that is not block-diagonal")
+
+    monkeypatch.setattr(lattice, "_enumerate_goursat", refuse)
+    rng = np.random.default_rng(11)
+    # the squares of dimension 2 have scalar actions in every basis
+    for fx in fixtures:
+        if fx.name.endswith("_sq") and 2 < fx.module.dim <= 6:
+            M = rebased(fx.module, rng)
+            assert lattice._block_split(M) is None, fx.name
+            assert len(lattice.enumerate_submodules(M)) == len(lattice_of(fx.module)), fx.name
+
+
+def test_caps_refuse_a_square_before_any_component_lattice(enumerations, fixtures_by_name):
+    calls, _ = enumerations
+    M = fixtures_by_name["chain_f3_k4_sq"].module
+    for caps in ({"cap_dim": M.dim - 1}, {"cap_points": 3**M.dim - 1}):
+        with pytest.raises(TooLarge):
+            lattice_of(M, **caps)
+        with pytest.raises(TooLarge):
+            lattice.enumerate_submodules(M, **caps)
+        assert calls == [M] and not lattice._memo, caps
+        calls.clear()
+
+
+def test_every_member_rebuilds_through_the_validating_constructor(fixtures):
+    # members come out of the stack reductions through the trusted
+    # constructor; the validating one re-reduces and re-checks closure
+    modules = [fx.module for fx in fixtures] + generated_sums(fixtures)
+    for M in modules:
+        for member in lattice_of(M).members:
+            rebuilt = Submodule(M, member.basis)
+            assert rebuilt == member and rebuilt.pivots == member.pivots, (M, member.basis)
+
+
+def test_containment_equals_the_scalar_subset_test(fixtures, monkeypatch):
+    for fx in fixtures:
+        lat = lattice_of(fx.module)
+        bits = lat.bits
+        scalar = [[bits[i] & ~bits[j] == 0 for j in range(len(bits))] for i in range(len(bits))]
+        assert lat.containment.tolist() == scalar, fx.name
+    # one row per broadcast block
+    monkeypatch.setattr(lattice, "CONTAINMENT_WORDS", 1)
+    M = fixtures[-1].module
+    lat = lattice_of(M)
+    assert (lattice._containment(lat.bits, M.field.p**M.dim) == lat.containment).all()

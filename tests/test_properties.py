@@ -15,6 +15,8 @@ from modcheck.errors import ZeroModule
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.modules import make_submodule, quotient_module, row_module
 from modcheck.properties import (
+    hollow_interval_scan,
+    hollow_scan,
     is_coessential,
     is_essential,
     is_extending,
@@ -27,6 +29,8 @@ from modcheck.properties import (
     property_report,
     radical,
     socle,
+    uniform_interval_scan,
+    uniform_scan,
 )
 from helpers import point_set
 
@@ -114,6 +118,29 @@ def test_hollow_uniform_uniserial_match_oracles_and_expected(base_fixtures):
         ):
             if prop in fx.expected:
                 assert value == fx.expected_value(prop), (fx.name, prop)
+
+
+def test_interval_reads_equal_the_scans_of_each_members_own_lattice(fixtures):
+    # the submodules of a member are the members below it; every proper
+    # summand of every square, and every nonzero member of the smaller ones
+    verdicts = []
+    for fx in fixtures:
+        if not fx.name.endswith("_sq"):
+            continue
+        lat = lattice_of(fx.module)
+        summands = set(lat.summand_indices()) - {lat.zero_index, lat.full_index}
+        for i in range(1, len(lat)):
+            if i in summands or fx.module.dim <= 6:
+                piece = lattice_of(lat.members[i].as_module())
+                hollow, uniform = hollow_interval_scan(lat, i), uniform_interval_scan(lat, i)
+                assert (hollow, uniform) == (hollow_scan(piece), uniform_scan(piece)), (fx.name, i)
+                verdicts.append((i in summands, hollow, uniform))
+        with pytest.raises(ZeroModule):
+            hollow_interval_scan(lat, lat.zero_index)
+        with pytest.raises(ZeroModule):
+            uniform_interval_scan(lat, lat.zero_index)
+    assert verdicts.count((True, True, True)) == 215
+    assert {v[1:] for v in verdicts} == {(True, True), (False, False)}
 
 
 def test_zero_module_conventions():
