@@ -27,7 +27,9 @@ route starts, so the route reaches no module the general one refuses.
 A stack reduction of a set that spans a submodule yields its reduced
 basis, so members of either route are built without the validating
 constructor's closure check; the test suite rebuilds every member
-through that constructor.
+through that constructor.  Likewise the Goursat route builds its
+components A and B, diagonal blocks of M's actions, without re-checking
+the product rule.
 
 Each member carries a bitset of the point indices it contains.  The
 N×N containment matrix is built from those bitsets once, packed as
@@ -348,11 +350,12 @@ def _enumerate_goursat(M: RepModule, k: int, cap_dim: int, cap_points: int) -> S
     p = M.field.p
     n = M.dim
     actions_a, actions_b = _block_actions(M, 0, k), _block_actions(M, k, n)
-    intervals_a = _intervals(lattice_of(RepModule(M.algebra, k, actions_a), cap_dim, cap_points))
+    A = RepModule._trusted(M.algebra, k, actions_a)
+    intervals_a = _intervals(lattice_of(A, cap_dim, cap_points))
     if actions_b == actions_a:  # a square A ⊕ A
         intervals_b = intervals_a
     else:
-        B = RepModule(M.algebra, n - k, actions_b)
+        B = RepModule._trusted(M.algebra, n - k, actions_b)
         intervals_b = _intervals(lattice_of(B, cap_dim, cap_points))
     isomorphisms = {}  # (A₂/A₁, B₂/B₁) -> stack of every isomorphism
     stacks = defaultdict(list)  # member dimension -> stacks of generating sets

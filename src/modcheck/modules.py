@@ -4,7 +4,9 @@ A module of dimension n is a tuple of n x n action matrices, one per
 algebra basis element, acting on row vectors on the right.  Construction
 verifies the representation identities (action of a product = composed
 actions, unity acts as the identity), so module values are trustworthy
-once built.
+once built.  Modules the program derives from validated ones (direct
+sums, quotients, submodules as modules) are built by a trusted
+constructor that skips those checks.
 
 Submodules are stored by their reduced-row-echelon basis, which is
 canonical: two submodules are equal iff their bases are equal tuples.
@@ -57,6 +59,24 @@ class RepModule:
                     )
         if lin_comb(alg.unity, self.actions, n, n, p) != identity(n):
             raise ShapeMismatch("unity does not act as the identity")
+
+    @classmethod
+    def _trusted(cls, algebra: Algebra, dim: int, actions: tuple) -> "RepModule":
+        """A module whose actions satisfy the representation identities by
+        construction.
+
+        For modules the program builds from validated ones (direct sums,
+        quotients, submodules in their own coordinates, the blocks of a
+        block-diagonal module); skips the product-rule and unity checks of
+        the validating constructor.  The test suite rebuilds every such
+        module through that constructor.
+        """
+        module = object.__new__(cls)
+        object.__setattr__(module, "algebra", algebra)
+        object.__setattr__(module, "dim", dim)
+        object.__setattr__(module, "actions", actions)
+        object.__setattr__(module, "label", "")
+        return module
 
     @property
     def field(self):
@@ -156,7 +176,7 @@ def _restricted_module(parent: RepModule, basis: Mat, pivots) -> RepModule:
             assert coeffs is not None  # construction validated closure
             rows.append(coeffs)
         actions.append(tuple(rows))
-    return RepModule(parent.algebra, len(basis), tuple(actions))
+    return RepModule._trusted(parent.algebra, len(basis), tuple(actions))
 
 
 def make_submodule(parent: RepModule, rows) -> Submodule:
@@ -270,7 +290,7 @@ def quotient_module(M: RepModule, X: Submodule):
         mat_mul(mat_mul(complement_rows, M.actions[i], p), proj, p)
         for i in range(M.algebra.dim)
     )
-    Q = RepModule(M.algebra, n - k, q_actions)
+    Q = RepModule._trusted(M.algebra, n - k, q_actions)
     pi = ModuleHom(M, Q, proj)
     return Q, pi
 
@@ -306,7 +326,7 @@ def direct_sum(A: RepModule, B: RepModule) -> DirectSum:
         rows = [tuple(Ai[r]) + (0,) * nb for r in range(na)]
         rows += [(0,) * na + tuple(Bi[r]) for r in range(nb)]
         actions.append(tuple(rows))
-    M = RepModule(A.algebra, n, tuple(actions))
+    M = RepModule._trusted(A.algebra, n, tuple(actions))
     i1 = tuple(tuple(1 if t == r else 0 for t in range(n)) for r in range(na))
     i2 = tuple(tuple(1 if t == na + r else 0 for t in range(n)) for r in range(nb))
     p1 = tuple(tuple(1 if (r < na and t == r) else 0 for t in range(na)) for r in range(n))

@@ -19,15 +19,24 @@ sum J of the parts chosen so far, and a per-call table, read from the
 lattice's complement matrix, gives the first complement of J below the
 last part.  Product order compares all parts but the last before the
 last one, so the first prefix choice (in product order) that has such a
-complement, completed by the first complement, is the first tuple.  On finite-length modules the scan must come back true (exchange
-follows from local endomorphism rings of the indecomposable pieces), so a
-false verdict here flags an implementation bug, not a mathematical
-discovery.
+complement, completed by the first complement, is the first tuple.
+
+The witnesses are kept in columns, as the scan computes them: for each
+summand and decomposition family, the family's decomposition tuples and
+one int64 array of choice rows.  ``ExchangeWitnesses`` reads them as a
+sequence of (summand, decomposition, choice) tuples and builds a tuple
+only when it is read, so the 962,390 witnesses of chain_f3_k4_sq cost a
+few arrays instead of a million Python objects.
+
+On finite-length modules the scan must come back true (exchange follows
+from local endomorphism rings of the indecomposable pieces), so a false
+verdict here flags an implementation bug, not a mathematical discovery.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -130,20 +139,74 @@ def _decomposition_index_tuples(lat: SubmoduleLattice, n: int) -> tuple:
     return tuple(map(tuple, prefixes.tolist()))
 
 
+class ExchangeWitnesses(Sequence):
+    """The witnesses of one exchange scan, in scan order, as a read-only
+    sequence of (summand index, decomposition tuple, choice tuple).
+
+    Stored as the scan's chunks: one (x, family, choice) per summand x and
+    decomposition family, where the k-th row of the int64 array ``choice``
+    is the witness of (x, family[k]).  Tuples are built when witnesses are
+    read: by index, by slice (a plain tuple) or by iteration.  The view
+    equals, and hashes like, the tuple of all its witnesses.
+    """
+
+    def __init__(self, chunks):
+        self._chunks = tuple(chunks)
+        self._ends = np.cumsum([len(choice) for _, _, choice in self._chunks], dtype=np.int64)
+
+    def __len__(self):
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __iter__(self):
+        for x, family, choice in self._chunks:
+            yield from zip([x] * len(choice), family, zip(*choice.T.tolist()))
+
+    def __getitem__(self, k):
+        picked = range(len(self))[k]
+        if isinstance(picked, int):
+            return self._take(np.array([picked]))[0]
+        return self._take(np.arange(picked.start, picked.stop, picked.step))
+
+    def _take(self, positions: np.ndarray) -> tuple:
+        """The witnesses at these positions, in their order."""
+        out = []
+        chunk = np.searchsorted(self._ends, positions, side="right")
+        runs = np.flatnonzero(np.diff(chunk, prepend=-1))
+        for lo, hi in zip(runs, [*runs[1:], len(chunk)]):
+            x, family, choice = self._chunks[chunk[lo]]
+            rows = positions[lo:hi] - (self._ends[chunk[lo]] - len(choice))
+            decomps = map(family.__getitem__, rows.tolist())
+            out.extend(zip([x] * len(rows), decomps, zip(*choice[rows].T.tolist())))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ExchangeWitnesses)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ExchangeWitnesses({len(self)} witnesses)"
+
+
 @dataclass(frozen=True)
 class FiepReport:
     """Exchange-scan outcome with the witnesses the definition demands.
 
     ``witnesses`` holds one entry per (summand, decomposition) pair that
-    was tested: the chosen indices of the M_i'.  When the ternary family
-    was subsampled, ``sampled`` is true and the seed is recorded so the
-    run is reproducible.
+    was tested: the chosen indices of the M_i'.  The scan stores them as an
+    ``ExchangeWitnesses`` view, which builds each entry when it is read;
+    a plain tuple of the same entries compares equal.  When the ternary
+    family was subsampled, ``sampled`` is true and the seed is recorded so
+    the run is reproducible.
     """
 
     verdict: bool
     n_max: int
     pairs_checked: int
-    witnesses: tuple  # (summand_idx, decomposition_idx_tuple, choice_idx_tuple)
+    witnesses: Sequence  # (summand_idx, decomposition_idx_tuple, choice_idx_tuple)
     sampled: bool
     seed: int
     failure: tuple | None  # (summand_idx, decomposition_idx_tuple) with no choice
@@ -231,10 +294,9 @@ def fiep_scan(
         _blocks(family, n, column, below_count) for n, family in enumerate(families, start=1)
     ]
 
-    # witnesses in scan order, up to the first pair without a choice, which
-    # ends the scan
-    witnesses = []
-    tuples = _ChoiceTuples(len(lat), n_max)
+    # witness chunks in scan order, up to the first pair without a choice,
+    # which ends the scan
+    chunks = []
     failure = None
     scan = product(lat.summand_indices(), zip(range(1, n_max + 1), families, layouts))
     for x, (n, family, layout) in scan:
@@ -245,52 +307,13 @@ def fiep_scan(
             choice[ks] = _first_choices(lat, x, *block, F)
         ok = choice[:, -1] >= 0
         stop = len(family) if ok.all() else int(np.argmin(ok))
-        witnesses.extend(zip([x] * stop, family, tuples.of(choice[:stop])))
+        chunks.append((x, family, choice[:stop]))
         if stop < len(family):
             failure = (x, family[stop])
             break
+    witnesses = ExchangeWitnesses(chunks)
     pairs = len(witnesses) + (failure is not None)
-    return FiepReport(
-        failure is None, n_max, pairs, tuple(witnesses), sampled, seed, failure
-    )
-
-
-class _ChoiceTuples:
-    """Choice tuples, each distinct one built once per scan and shared by
-    every witness that makes that choice.
-
-    A row's key is the integer with digits c + 1 in base N + 1, so rows of
-    any length have distinct keys; keys that could pass int64 are Python
-    integers.  ``known`` holds the keys seen so far, sorted, and ``ids``
-    the position of each one's tuple in ``tuples``.  New keys are merged in
-    with numpy, so a witness costs no Python work beyond its list entry.
-    """
-
-    def __init__(self, members: int, n_max: int):
-        self.radix = members + 1
-        key_type = np.int64 if self.radix**n_max < 2**63 else object
-        self.known = np.zeros(0, dtype=key_type)
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.tuples = []
-
-    def of(self, rows: np.ndarray):
-        """The tuples of ``rows``, in order."""
-        key_type = self.known.dtype
-        weights = np.array([self.radix**t for t in range(rows.shape[1])], dtype=key_type)
-        keys = (rows + 1).astype(key_type) @ weights
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        pos = np.searchsorted(self.known, unique)
-        seen = pos < len(self.known)
-        seen[seen] = self.known[pos[seen]] == unique[seen]
-        ids = np.empty(len(unique), dtype=np.int64)
-        ids[seen] = self.ids[pos[seen]]
-        ids[~seen] = np.arange(len(self.tuples), len(self.tuples) + int((~seen).sum()))
-        self.tuples += map(tuple, rows[first[~seen]].tolist())
-        known = np.concatenate([self.known, unique[~seen]])
-        order = np.argsort(known, kind="stable")
-        self.known = known[order]
-        self.ids = np.concatenate([self.ids, ids[~seen]])[order]
-        return map(self.tuples.__getitem__, ids[inverse].tolist())
+    return FiepReport(failure is None, n_max, pairs, witnesses, sampled, seed, failure)
 
 
 def _blocks(family: list, n: int, column: dict, below_count: np.ndarray) -> list:

@@ -11,7 +11,7 @@ from helpers import point_set, rebased
 from modcheck import lattice, oracles
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import TooLarge
-from modcheck.modules import Submodule, direct_sum
+from modcheck.modules import RepModule, Submodule, direct_sum
 from modcheck.properties import lattice_of, property_report
 from modcheck.verify import VerifyConfig, verify_claims
 
@@ -272,6 +272,37 @@ def test_every_member_rebuilds_through_the_validating_constructor(fixtures):
         for member in lattice_of(M).members:
             rebuilt = Submodule(M, member.basis)
             assert rebuilt == member and rebuilt.pivots == member.pivots, (M, member.basis)
+
+
+def test_every_derived_module_rebuilds_through_the_validating_constructor(
+    fixtures, monkeypatch
+):
+    # direct sums, quotients, submodules as modules and the Goursat route's
+    # component blocks come from the trusted constructor; the validating one
+    # re-checks the product rule and the unity.  With an empty lattice memo
+    # every fixture lattice, component lattice and interval quotient is
+    # built afresh and recorded.
+    built = []
+    trusted = RepModule._trusted
+
+    def recording(algebra, dim, actions):
+        built.append(trusted(algebra, dim, actions))
+        return built[-1]
+
+    monkeypatch.setattr(RepModule, "_trusted", staticmethod(recording))
+    monkeypatch.setattr(lattice, "_memo", OrderedDict())
+    by_name = {fx.name: fx.module for fx in fixtures}
+    squares = [name for name in by_name if name.endswith("_sq")]
+    assert len(squares) == 11
+    for name in squares:
+        base = by_name[name.removesuffix("_sq")]
+        assert direct_sum(base, base).module == by_name[name]
+    for M in list(by_name.values()) + generated_sums(fixtures):
+        for member in lattice_of(M).members:
+            member.as_module()
+    assert {by_name[name] for name in squares} <= set(built)
+    for M in set(built):
+        assert RepModule(M.algebra, M.dim, M.actions) == M
 
 
 def test_containment_equals_the_scalar_subset_test(fixtures, monkeypatch):
