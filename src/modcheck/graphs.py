@@ -8,14 +8,23 @@ submodule has strictly fewer elements than the target, so no surjection
 exists.  graph_complement reports that branch as CardinalityVacuous
 instead of pretending to cover it; the exact-arithmetic backend is where
 that branch is actually exercised.
+
+graph_laws checks the graph identities for one hom, through validated
+submodules.  graph_law_sweep checks them for every hom of a pair at once,
+on int64 stacks from hom_stack: every subspace graph_laws builds comes out
+of an rref_stack pass, so each hom costs array work instead of Python
+objects.  graph_laws stays as the reference the tests compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CardinalityVacuous, NotEpi, NotHollowUniform, ShapeMismatch
-from .linalg import intersect_rows, mat_mul, rank
+from .homs import hom_stack, kernel
+from .linalg import intersect_rows, mat_mul, rank, rref_stack
 from .modules import DirectSum, ModuleHom, RepModule, Submodule, make_submodule, zero_hom
 from .summands import Decomposition
 
@@ -75,8 +84,6 @@ def graph_laws(ds: DirectSum, h: ModuleHom) -> dict:
 
     Returns per-law booleans plus the data they were decided from.
     """
-    from .homs import kernel
-
     p = ds.module.field.p
     graph = graph_of(ds, h)
     src_copy, other_copy = ds.left_copy(), ds.right_copy()
@@ -109,6 +116,116 @@ def graph_laws(ds: DirectSum, h: ModuleHom) -> dict:
         "sum_law": sum_law,
         "graph_dim": graph.dim,
         "kernel_dim": ker.dim,
+        "total": total,
+        "epi": epi,
+    }
+
+
+LAW_FIELDS = ("kernel_law", "summand_law", "sum_law", "graph_dim", "kernel_dim", "total", "epi")
+
+
+@dataclass(frozen=True, eq=False)
+class GraphLawSweep:
+    """graph_laws for every case of a sweep, as columns.
+
+    ``columns`` maps each field of graph_laws' dict to a (homs, sources)
+    array: row e is the e-th hom in enumerate_homs order, column s its
+    restriction to the s-th source (the whole component, then the proper
+    submodule, if any).
+    """
+
+    columns: dict
+
+    def __len__(self) -> int:
+        return self.columns["total"].size
+
+    def case(self, e: int, s: int) -> dict:
+        """The dict graph_laws returns for hom e on source s."""
+        return {name: self.columns[name][e, s].item() for name in LAW_FIELDS}
+
+    def first_failure(self) -> dict | None:
+        """The first case, hom by hom and each hom's sources in order, where
+        a law fails, or None."""
+        c = self.columns
+        failed = np.flatnonzero(~(c["kernel_law"] & c["summand_law"] & c["sum_law"]))
+        if not failed.size:
+            return None
+        return self.case(*np.unravel_index(failed[0], c["total"].shape))
+
+
+def graph_law_sweep(ds: DirectSum, cap: int, sub: Submodule) -> GraphLawSweep:
+    """graph_laws for every hom h: A → B of ds = A ⊕ B, in stack passes.
+
+    The sources are A itself and, when it is proper and nonzero, the
+    submodule ``sub`` of A, on which each h is restricted; a source with
+    basis S (rows in A) sends it to F = S·H.  For each chunk of homs from
+    hom_stack and each source, rref_stack reduces the graph [S | F], the
+    left kernel of F (from [F | I]), the kernel pushed into the sum, the
+    meet of the graph with A ⊕ 0 (from [A ⊕ 0; graph | I]), and the graph
+    stacked on 0 ⊕ B.  The kernel law compares the reduced meet with the
+    reduced pushed kernel entry by entry, a literal subspace equality; epi
+    and the summand and sum laws come from ranks.  Raises TooLarge, like
+    enumerate_homs, when the hom count exceeds cap.
+    """
+    p = ds.module.field.p
+    na, nb = ds.left.dim, ds.right.dim
+    sources = [np.eye(na, dtype=np.int64)]
+    if 0 < sub.dim < na:
+        sources.append(np.array(sub.basis, dtype=np.int64))
+    parts = [[] for _ in sources]
+    for H in hom_stack(ds.left, ds.right, cap):
+        for s, S in enumerate(sources):
+            parts[s].append(_source_laws(S, H, na, nb, p))
+    columns = {
+        name: np.stack([np.concatenate([laws[name] for laws in chunks]) for chunks in parts], 1)
+        for name in LAW_FIELDS
+    }
+    return GraphLawSweep(columns)
+
+
+def _source_laws(S: np.ndarray, H: np.ndarray, na: int, nb: int, p: int) -> dict:
+    """graph_laws' fields for each hom of the stack H restricted to the
+    source rows S."""
+    N, k = len(H), len(S)
+    n = na + nb
+
+    def side_by_side(*blocks):
+        """(N, rows, ·) blocks joined along columns; a 2-d block is shared by
+        all N homs."""
+        return np.concatenate([np.broadcast_to(b, (N,) + b.shape[-2:]) for b in blocks], axis=2)
+
+    F = S @ H % p  # the image of each source row, in B
+    graph, graph_dim = rref_stack(side_by_side(S, F), p)
+
+    # the left kernel of F: the identity part of the rows of [F | I] whose
+    # F part reduces to zero
+    reduced, _ = rref_stack(side_by_side(F, np.eye(k, dtype=np.int64)), p)
+    in_kernel = ~reduced[:, :, :nb].any(axis=2)
+    kernel_rows = np.where(in_kernel[:, :, None], reduced[:, :, nb:], 0)
+    pushed, _ = rref_stack(side_by_side(kernel_rows @ S % p, np.zeros((k, nb), np.int64)), p)
+    kernel_dim = in_kernel.sum(axis=1)
+
+    # (A ⊕ 0) ∩ graph: each row (x, y) of the left kernel of [A ⊕ 0; graph]
+    # gives the vector x·(A ⊕ 0) = -y·graph of both, and these span the meet
+    both = np.concatenate([np.broadcast_to(np.eye(na, n, dtype=np.int64), (N, na, n)), graph], 1)
+    reduced, _ = rref_stack(side_by_side(both, np.eye(na + k, dtype=np.int64)), p)
+    in_meet = ~reduced[:, :, :n].any(axis=2)
+    meet_rows = np.where(in_meet[:, :, None], reduced[:, :, n : n + na], 0)
+    meet, _ = rref_stack(side_by_side(meet_rows, np.zeros((na + k, nb), np.int64)), p)
+    kernel_law = (meet[:, :k] == pushed).all(axis=(1, 2)) & ~meet[:, k:].any(axis=(1, 2))
+
+    spans = na + k - in_meet.sum(axis=1) == n  # the rank of [A ⊕ 0; graph]
+    right = np.broadcast_to(np.eye(nb, n, na, dtype=np.int64), (N, nb, n))
+    _, summand_rank = rref_stack(np.concatenate([graph, right], 1), p)
+    decomposes = (graph_dim + nb == n) & (summand_rank == n)
+    total = np.full(N, k == na)
+    epi = k - kernel_dim == nb
+    return {
+        "kernel_law": kernel_law,
+        "summand_law": decomposes == total,
+        "sum_law": spans == epi,
+        "graph_dim": graph_dim,
+        "kernel_dim": kernel_dim,
         "total": total,
         "epi": epi,
     }

@@ -2,15 +2,18 @@
 
 hom_space solves the commuting-matrix equations A_i H = H B_i exactly,
 returning a basis of the solution space; enumerate_homs walks every
-F_p-combination of that basis (capped, since the count is p^dim).
+F_p-combination of that basis (capped, since the count is p^dim), and
+hom_stack yields the same combinations as int64 stacks for batched work.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from .errors import ShapeMismatch, TooLarge
-from .linalg import left_kernel, lin_comb, mat_mul, rank
+from .linalg import POINT_CHUNK, left_kernel, lin_comb, mat_mul, point_coords, rank
 from .modules import ModuleHom, RepModule, Submodule, _as_rep, make_submodule
 
 
@@ -66,13 +69,42 @@ def enumerate_homs(A, B, cap: int = 1 << 20):
     if count > cap:
         raise TooLarge("hom enumeration", count, cap)
     for coeffs in product(range(p), repeat=len(basis)):
-        yield ModuleHom(A, B, lin_comb(coeffs, basis, src.dim, tgt.dim, p))
+        yield ModuleHom._trusted(A, B, lin_comb(coeffs, basis, src.dim, tgt.dim, p))
+
+
+def hom_stack(A, B, cap: int | None = 1 << 20):
+    """Every hom A -> B as (N, dim A, dim B) int64 chunks, N <= POINT_CHUNK.
+
+    The homs come in enumerate_homs order: their coordinates in the
+    hom_space basis run through product(range(p), repeat=d).  Raises the
+    same TooLarge as enumerate_homs when p^d exceeds cap, at the call,
+    before any chunk is built; cap None leaves the count unbounded.
+    """
+    src = _as_rep(A)
+    tgt = _as_rep(B)
+    p = src.field.p
+    basis = hom_space(A, B)
+    count = p ** len(basis)
+    if cap is not None and count > cap:
+        raise TooLarge("hom enumeration", count, cap)
+    flat = np.array(basis, dtype=np.int64).reshape(len(basis), src.dim * tgt.dim)
+    return _hom_chunks(flat, count, src.dim, tgt.dim, p)
+
+
+def _hom_chunks(flat: np.ndarray, count: int, na: int, nb: int, p: int):
+    for start in range(0, count, POINT_CHUNK):
+        # point_coords puts the least significant digit first, while
+        # product() varies the last coordinate fastest
+        coeffs = point_coords(np.arange(start, min(start + POINT_CHUNK, count)), len(flat), p)
+        yield (coeffs[:, ::-1] @ flat % p).reshape(-1, na, nb)
 
 
 def hom_from_coords(A, B, basis: tuple, coeffs) -> ModuleHom:
     """Assemble the hom with the given coordinates in a hom_space basis."""
     src = _as_rep(A)
-    return ModuleHom(A, B, lin_comb(coeffs, basis, src.dim, _as_rep(B).dim, src.field.p))
+    return ModuleHom._trusted(
+        A, B, lin_comb(coeffs, basis, src.dim, _as_rep(B).dim, src.field.p)
+    )
 
 
 def kernel(h: ModuleHom) -> Submodule:

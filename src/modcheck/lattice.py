@@ -68,14 +68,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooLarge
-from .homs import hom_space
-from .linalg import invertible_mask, point_coords, rref_stack, span_point_bits
+from .homs import hom_stack
+from .linalg import POINT_CHUNK, invertible_mask, point_coords, rref_stack, span_point_bits
 from .modules import RepModule, Submodule, make_submodule, quotient_module
 
 DEFAULT_CAP_DIM = 8
 DEFAULT_CAP_POINTS = 1 << 16
 LATTICE_MEMO_SIZE = 128  # lattices lattice_of keeps, least recently used dropped first
-POINT_CHUNK = 1 << 10  # matrices per stack pass, so memory stays flat in p^n
 CONTAINMENT_WORDS = 1 << 16  # uint64 words one containment broadcast holds
 
 
@@ -422,17 +421,12 @@ def _intervals(lat: SubmoduleLattice) -> dict:
 
 
 def _isomorphisms(Q: RepModule, R: RepModule) -> np.ndarray:
-    """Every isomorphism Q → R, as a (K, d, d) stack of matrices."""
+    """Every isomorphism Q → R, as a (K, d, d) stack of matrices.
+
+    The hom count is not capped: lattice calls take no hom cap.
+    """
     p = Q.field.p
-    d = Q.dim
-    basis = np.array(hom_space(Q, R), dtype=np.int64).reshape(-1, d * d)
-    count = p ** len(basis)
-    found = []
-    for start in range(0, count, POINT_CHUNK):
-        coeffs = point_coords(np.arange(start, min(start + POINT_CHUNK, count)), len(basis), p)
-        mats = (coeffs @ basis % p).reshape(-1, d, d)
-        found.append(mats[invertible_mask(mats, p)])
-    return np.concatenate(found)
+    return np.concatenate([mats[invertible_mask(mats, p)] for mats in hom_stack(Q, R, cap=None)])
 
 
 def _ordered_lattice(M: RepModule, members) -> SubmoduleLattice:

@@ -289,6 +289,9 @@ def inverse(A: Mat, p: int) -> Mat | None:
 
 # -- point enumeration -------------------------------------------------------
 
+POINT_CHUNK = 1 << 10  # points or matrices per stack pass, so memory stays flat in p^n
+
+
 def point_coords(indices: np.ndarray, k: int, p: int) -> np.ndarray:
     """Coordinates of points in F_p^k by index, one row per index.
 

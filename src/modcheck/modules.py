@@ -6,7 +6,9 @@ verifies the representation identities (action of a product = composed
 actions, unity acts as the identity), so module values are trustworthy
 once built.  Modules the program derives from validated ones (direct
 sums, quotients, submodules as modules) are built by a trusted
-constructor that skips those checks.
+constructor that skips those checks, and so are the homs that are homs
+by construction (injections, projections, embeddings and combinations of
+a hom-space basis).
 
 Submodules are stored by their reduced-row-echelon basis, which is
 canonical: two submodules are equal iff their bases are equal tuples.
@@ -160,7 +162,7 @@ class Submodule:
 
     def embedding(self) -> "ModuleHom":
         """Inclusion into the parent, from intrinsic coordinates."""
-        return ModuleHom(self.as_module(), self.parent, self.basis)
+        return ModuleHom._trusted(self.as_module(), self.parent, self.basis)
 
     def __repr__(self):
         return f"Submodule(dim={self.dim} of {self.parent.dim})"
@@ -242,6 +244,22 @@ class ModuleHom:
             ):
                 raise ShapeMismatch(f"matrix does not commute with action {i}")
 
+    @classmethod
+    def _trusted(cls, source, target, matrix: Mat) -> "ModuleHom":
+        """A hom whose matrix commutes with the action by construction.
+
+        For the injections and projections of a direct sum, the projection
+        onto a quotient, submodule embeddings and F_p-combinations of a
+        hom_space basis; skips the shape and commutation checks of the
+        validating constructor.  The test suite rebuilds every such hom
+        through that constructor.
+        """
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "source", source)
+        object.__setattr__(hom, "target", target)
+        object.__setattr__(hom, "matrix", matrix)
+        return hom
+
     @property
     def source_module(self) -> RepModule:
         return _as_rep(self.source)
@@ -291,7 +309,7 @@ def quotient_module(M: RepModule, X: Submodule):
         for i in range(M.algebra.dim)
     )
     Q = RepModule._trusted(M.algebra, n - k, q_actions)
-    pi = ModuleHom(M, Q, proj)
+    pi = ModuleHom._trusted(M, Q, proj)
     return Q, pi
 
 
@@ -308,11 +326,21 @@ class DirectSum:
     proj2: ModuleHom
 
     def left_copy(self) -> Submodule:
-        """A x 0 as a submodule of the sum."""
-        return make_submodule(self.module, self.inj1.matrix)
+        """A x 0 as a submodule of the sum, built once per direct sum."""
+        return self._copy("_left_copy", self.inj1)
 
     def right_copy(self) -> Submodule:
-        return make_submodule(self.module, self.inj2.matrix)
+        """0 x B as a submodule of the sum, built once per direct sum."""
+        return self._copy("_right_copy", self.inj2)
+
+    def _copy(self, name: str, inj: ModuleHom) -> Submodule:
+        # kept on the instance, outside the dataclass fields, so equality
+        # and hashing are unaffected
+        copy = self.__dict__.get(name)
+        if copy is None:
+            copy = make_submodule(self.module, inj.matrix)
+            object.__setattr__(self, name, copy)
+        return copy
 
 
 def direct_sum(A: RepModule, B: RepModule) -> DirectSum:
@@ -335,10 +363,10 @@ def direct_sum(A: RepModule, B: RepModule) -> DirectSum:
         M,
         A,
         B,
-        ModuleHom(A, M, i1),
-        ModuleHom(B, M, i2),
-        ModuleHom(M, A, p1),
-        ModuleHom(M, B, p2),
+        ModuleHom._trusted(A, M, i1),
+        ModuleHom._trusted(B, M, i2),
+        ModuleHom._trusted(M, A, p1),
+        ModuleHom._trusted(M, B, p2),
     )
 
 

@@ -34,8 +34,7 @@ from .exact import (
     verify_partial_case,
     z_extension_routes,
 )
-from .graphs import graph_complement, graph_laws
-from .homs import enumerate_homs, restrict
+from .graphs import graph_complement, graph_law_sweep
 from .lattice import lattice_of
 from .modules import ModuleHom, direct_sum
 from .properties import (
@@ -252,20 +251,12 @@ def _checks_graph_laws(cfg: VerifyConfig, fixtures, claim: str) -> list:
         def check(an=an, bn=bn):
             A, B = by_name[an].module, by_name[bn].module
             ds = direct_sum(A, B)
-            homs_checked = 0
             lat = lattice_of(A, cap_dim=cfg.cap_dim)
-            rad = lat.members[lat.radical_index()]
-            for h in enumerate_homs(A, B, cap=cfg.cap_hom):
-                for case in (h,) + (
-                    (restrict(h, rad),) if 0 < rad.dim < A.dim else ()
-                ):
-                    laws = graph_laws(ds, case)
-                    if not (
-                        laws["kernel_law"] and laws["summand_law"] and laws["sum_law"]
-                    ):
-                        return False, {"pair": [an, bn], "laws": laws}
-                    homs_checked += 1
-            witness = {"pair": [an, bn], "homs_checked": homs_checked}
+            sweep = graph_law_sweep(ds, cfg.cap_hom, lat.members[lat.radical_index()])
+            failure = sweep.first_failure()
+            if failure is not None:
+                return False, {"pair": [an, bn], "laws": failure}
+            witness = {"pair": [an, bn], "homs_checked": len(sweep)}
             if an == bn:
                 ident = ModuleHom(
                     A, B, tuple(tuple(int(i == j) for j in range(A.dim)) for i in range(A.dim))

@@ -17,7 +17,8 @@ from modcheck.homs import (
     is_mono,
     kernel,
 )
-from modcheck.modules import RepModule
+from modcheck.lattice import lattice_of
+from modcheck.modules import ModuleHom, RepModule, direct_sum, quotient_module
 
 
 def _span_matrices(basis, p, dim_src, dim_tgt):
@@ -64,6 +65,34 @@ def test_enumerate_homs_counts_the_span():
     homs = list(enumerate_homs(A, A))
     assert len(homs) == 2 ** len(hom_space(A, A))
     assert len({h.matrix for h in homs}) == len(homs)
+
+
+def test_every_trusted_hom_rebuilds_through_the_validating_constructor(fixtures, monkeypatch):
+    # direct-sum injections and projections, quotient projections,
+    # submodule embeddings and hom_space combinations come from the trusted
+    # constructor; the validating one re-checks shapes and commutation
+    built = []
+    trusted = ModuleHom._trusted
+
+    def recording(source, target, matrix):
+        built.append(trusted(source, target, matrix))
+        return built[-1]
+
+    monkeypatch.setattr(ModuleHom, "_trusted", staticmethod(recording))
+    for fx in fixtures:
+        M = fx.module
+        direct_sum(M, M)
+        basis = hom_space(M, M)
+        if M.field.p ** len(basis) <= 1 << 8:
+            list(enumerate_homs(M, M))
+        for coeffs in product(range(M.field.p), repeat=min(len(basis), 2)):
+            hom_from_coords(M, M, basis, coeffs + (1,) * (len(basis) - len(coeffs)))
+        for member in lattice_of(M).members:
+            member.embedding()
+            quotient_module(M, member)
+    assert len(built) > 2000
+    for h in built:
+        assert ModuleHom(h.source, h.target, h.matrix) == h
 
 
 def test_kernel_image_mono_epi_consistency():

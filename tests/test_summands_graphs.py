@@ -1,11 +1,22 @@
 """Summand enumeration, exchange scans, and the graph-submodule laws."""
 
-import pytest
+import json
 
+import numpy as np
+import pytest
+from helpers import rebased
+
+from modcheck import homs
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
-from modcheck.errors import CardinalityVacuous, NotEpi, NotHollowUniform, ShapeMismatch
-from modcheck.graphs import graph_complement, graph_laws, graph_of
-from modcheck.homs import enumerate_homs, hom_space, hom_from_coords, restrict
+from modcheck.errors import (
+    CardinalityVacuous,
+    NotEpi,
+    NotHollowUniform,
+    ShapeMismatch,
+    TooLarge,
+)
+from modcheck.graphs import GraphLawSweep, graph_complement, graph_law_sweep, graph_laws, graph_of
+from modcheck.homs import enumerate_homs, hom_space, hom_from_coords, hom_stack, restrict
 from modcheck.linalg import rank
 from modcheck.modules import ModuleHom, direct_sum, make_submodule, zero_hom
 from modcheck.properties import lattice_of, radical
@@ -17,6 +28,7 @@ from modcheck.summands import (
     is_direct_summand,
     summand_indices,
 )
+from modcheck.verify import GRAPH_LAW_PAIRS
 
 
 def _identity_hom(M):
@@ -129,6 +141,85 @@ def test_graph_laws_hold_for_partial_sources(fixtures_by_name):
         laws = graph_laws(ds, h)
         assert laws["kernel_law"] and laws["summand_law"] and laws["sum_law"]
         assert not laws["total"]
+
+
+def _sweep_against_graph_laws(A, B) -> int:
+    """Assert that the sweep equals graph_laws on every case of A ⊕ B, in
+    the same types; returns the number of sources swept."""
+    ds = direct_sum(A, B)
+    rad = radical(A)
+    sweep = graph_law_sweep(ds, 1 << 20, rad)
+    sources = 2 if 0 < rad.dim < A.dim else 1
+    swept = list(enumerate_homs(A, B))
+    assert len(sweep) == sources * len(swept)
+    for e, h in enumerate(swept):
+        for s, case in enumerate((h, restrict(h, rad))[:sources]):
+            assert json.dumps(sweep.case(e, s)) == json.dumps(graph_laws(ds, case)), (e, s)
+    assert sweep.first_failure() is None
+    return sources
+
+
+def test_graph_law_sweep_equals_graph_laws_on_every_case(fixtures_by_name):
+    sources = [
+        _sweep_against_graph_laws(fixtures_by_name[an].module, fixtures_by_name[bn].module)
+        for an, bn in GRAPH_LAW_PAIRS
+    ]
+    assert 1 in sources and 2 in sources
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_graph_law_sweep_equals_graph_laws_on_basis_changes(fixtures_by_name, seed):
+    # P·A·P⁻¹ for a seeded P per side: modules outside the corpus, whose
+    # hom spaces and radicals have no echelon shape to lean on
+    rng = np.random.default_rng(seed)
+    sources = [
+        _sweep_against_graph_laws(
+            rebased(fixtures_by_name[an].module, rng), rebased(fixtures_by_name[bn].module, rng)
+        )
+        for an, bn in GRAPH_LAW_PAIRS
+    ]
+    assert 1 in sources and 2 in sources
+
+
+def test_graph_law_sweep_reports_the_first_failing_case(fixtures_by_name):
+    A = fixtures_by_name["chain_f3_k4"].module
+    sweep = graph_law_sweep(direct_sum(A, A), 1 << 20, radical(A))
+    columns = {name: col.copy() for name, col in sweep.columns.items()}
+    columns["sum_law"][5, 0] = False
+    columns["kernel_law"][3, 1] = False
+    doctored = GraphLawSweep(columns)
+    assert doctored.first_failure() == doctored.case(3, 1)
+    assert doctored.first_failure()["kernel_law"] is False
+
+
+def test_hom_stack_yields_the_homs_in_enumerate_homs_order(fixtures_by_name, monkeypatch):
+    pairs = [
+        (fixtures_by_name[an].module, fixtures_by_name[bn].module) for an, bn in GRAPH_LAW_PAIRS
+    ]
+    whole = [graph_law_sweep(direct_sum(A, B), 1 << 20, radical(A)).columns for A, B in pairs]
+    monkeypatch.setattr(homs, "POINT_CHUNK", 7)
+    for (A, B), columns in zip(pairs, whole):
+        chunks = list(hom_stack(A, B))
+        assert all(c.dtype == np.int64 and c.shape[1:] == (A.dim, B.dim) for c in chunks)
+        assert all(len(c) <= 7 for c in chunks)
+        stacked = [tuple(map(tuple, m)) for c in chunks for m in c.tolist()]
+        assert stacked == [h.matrix for h in enumerate_homs(A, B)]
+        # a sweep over many chunks joins their columns in the same order
+        chunked = graph_law_sweep(direct_sum(A, B), 1 << 20, radical(A)).columns
+        assert all((chunked[name] == columns[name]).all() for name in columns)
+
+
+def test_graph_law_sweep_refuses_like_enumerate_homs(fixtures_by_name):
+    A = fixtures_by_name["chain_f3_k4"].module  # 3^4 = 81 endomorphisms
+    ds = direct_sum(A, A)
+    with pytest.raises(TooLarge) as enumerated:
+        next(enumerate_homs(A, A, cap=80))
+    with pytest.raises(TooLarge) as stacked:
+        hom_stack(A, A, cap=80)  # at the call, before any chunk is built
+    with pytest.raises(TooLarge) as swept:
+        graph_law_sweep(ds, 80, radical(A))
+    assert str(swept.value) == str(stacked.value) == str(enumerated.value)
+    assert len(graph_law_sweep(ds, 81, radical(A))) == 2 * 81
 
 
 def test_graph_complement_of_an_automorphism():
