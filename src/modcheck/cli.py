@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from .errors import ModcheckError, SchemaError, TooLarge, UnresolvedDivision, ZeroInput
 from .io import load_module
-from .lattice import lattice_of
+from .homs import DEFAULT_CAP_HOM, hom_space
+from .lattice import DEFAULT_CAP_DIM, lattice_of
 from .properties import property_report
-from .summands import FIEP_WITNESS_LIMIT, fiep_scan
+from .summands import DEFAULT_N_MAX, DEFAULT_SEED, FIEP_WITNESS_LIMIT, fiep_scan
 from .verify import RUN_ORDER, VerifyConfig, verify_claims
 
 EXIT_OK = 0
@@ -32,7 +33,7 @@ EXIT_CAP = 3
 def _emit(doc, args) -> None:
     text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text)
             f.write("\n")
@@ -43,13 +44,36 @@ def _load(path: str):
     return module
 
 
-def _add_common(sub, fmt=("json", "text")) -> None:
-    sub.add_argument("--cap-dim", type=int, default=8, help="largest module dimension for lattice scans")
-    sub.add_argument("--cap-hom", type=int, default=1 << 20, help="largest hom/endomorphism sweep size")
-    sub.add_argument("--n-max", type=int, default=3, help="largest decomposition width for exchange scans")
-    sub.add_argument("--seed", type=int, default=1789, help="seed for the documented deterministic subsamples")
-    sub.add_argument("--format", choices=fmt, default=fmt[0])
-    sub.add_argument("--out", help="also write the output to this file")
+# the flags several subcommands share, declared once
+SHARED_FLAGS = {
+    "--cap-dim": dict(type=int, default=DEFAULT_CAP_DIM, help="largest module dimension for lattice scans"),
+    "--cap-hom": dict(type=int, default=DEFAULT_CAP_HOM, help="largest hom/endomorphism sweep size"),
+    "--n-max": dict(type=int, default=DEFAULT_N_MAX, help="largest decomposition width for exchange scans"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="seed for the documented deterministic subsamples"),
+    "--out": dict(help="also write the output to this file"),
+}
+# subcommand -> the shared flags it honours, and its --format choices (default first)
+COMMAND_FLAGS = {
+    "report": (("--cap-dim", "--cap-hom", "--n-max", "--seed", "--out"), ("json", "text")),
+    "lattice": (("--cap-dim", "--out"), ("json", "dot")),
+    "fiep": (("--cap-dim", "--n-max", "--seed", "--out"), None),
+    "summands": (("--cap-dim", "--out"), None),
+    "homs": (("--cap-hom", "--out"), None),
+    "exact": (("--seed", "--out"), None),
+    "verify": (("--cap-dim", "--cap-hom", "--n-max", "--seed", "--out"), None),
+}
+
+
+def _command(sub, name: str, fn, help: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, holding the shared flags it honours."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(fn=fn)
+    flags, formats = COMMAND_FLAGS[name]
+    for flag in flags:
+        parser.add_argument(flag, **SHARED_FLAGS[flag])
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0])
+    return parser
 
 
 def cmd_report(args) -> int:
@@ -101,8 +125,6 @@ def cmd_summands(args) -> int:
 
 
 def cmd_homs(args) -> int:
-    from .homs import hom_space
-
     A = _load(args.source)
     B = _load(args.target)
     basis = hom_space(A, B)
@@ -253,34 +275,20 @@ def build_parser() -> _TrackingParser:
     parser = _TrackingParser(prog="modcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_report = sub.add_parser("report", help="all property verdicts for a module file")
-    p_report.add_argument("module")
-    _add_common(p_report)
-    p_report.set_defaults(fn=cmd_report)
+    for name, fn, help in (
+        ("report", cmd_report, "all property verdicts for a module file"),
+        ("lattice", cmd_lattice, "submodule lattice as json or dot"),
+        ("fiep", cmd_fiep, "finite internal exchange scan"),
+        ("summands", cmd_summands, "direct summands of a module file"),
+    ):
+        _command(sub, name, fn, help).add_argument("module")
 
-    p_lat = sub.add_parser("lattice", help="submodule lattice as json or dot")
-    p_lat.add_argument("module")
-    _add_common(p_lat, fmt=("json", "dot"))
-    p_lat.set_defaults(fn=cmd_lattice)
-
-    p_fiep = sub.add_parser("fiep", help="finite internal exchange scan")
-    p_fiep.add_argument("module")
-    _add_common(p_fiep)
-    p_fiep.set_defaults(fn=cmd_fiep)
-
-    p_sum = sub.add_parser("summands", help="direct summands of a module file")
-    p_sum.add_argument("module")
-    _add_common(p_sum)
-    p_sum.set_defaults(fn=cmd_summands)
-
-    p_homs = sub.add_parser("homs", help="basis of Hom(A, B) for two module files")
+    p_homs = _command(sub, "homs", cmd_homs, "basis of Hom(A, B) for two module files")
     p_homs.add_argument("source")
     p_homs.add_argument("target")
-    _add_common(p_homs)
-    p_homs.set_defaults(fn=cmd_homs)
 
-    p_exact = sub.add_parser(
-        "exact", help="exact-arithmetic verification of the localization example"
+    p_exact = _command(
+        sub, "exact", cmd_exact, "exact-arithmetic verification of the localization example"
     )
     p_exact.add_argument(
         "mode", nargs="?", default="cases", choices=("cases", "zext"),
@@ -291,17 +299,13 @@ def build_parser() -> _TrackingParser:
     p_exact.add_argument("--x", action="append", help="rational test value, repeatable")
     p_exact.add_argument("--a", type=int, help="zext: source multiplier")
     p_exact.add_argument("--b", type=int, help="zext: image multiplier")
-    _add_common(p_exact)
-    p_exact.set_defaults(fn=cmd_exact)
 
-    p_verify = sub.add_parser("verify", help="run the full verification manifest")
+    p_verify = _command(sub, "verify", cmd_verify, "run the full verification manifest")
     p_verify.add_argument("--p", type=int, default=2)
     p_verify.add_argument("--q", type=int, default=3)
     p_verify.add_argument("--only", action="append", choices=RUN_ORDER, help="restrict to one claim anchor, repeatable")
     p_verify.add_argument("--config", help="JSON file with flag defaults")
     p_verify.add_argument("--regen-golden", action="store_true", help="recompute golden expected values and fixture files")
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
 
     return parser
 

@@ -157,7 +157,7 @@ def _merge(inline: dict, golden: dict) -> dict:
     return merged
 
 
-def corpus(include_squares: bool = True, golden: dict | None = None) -> tuple:
+def corpus(golden: dict | None = None) -> tuple:
     """All fixtures, squares of the hollow-and-uniform ones included.
 
     ``golden`` overrides the packaged golden file (mainly for tests and
@@ -170,18 +170,15 @@ def corpus(include_squares: bool = True, golden: dict | None = None) -> tuple:
         doc = dict(doc, expected=expected)
         fixtures.append(Fixture(name, M, doc, expected))
 
-    if include_squares:
-        for base in list(fixtures):
-            exp = base.expected
-            if not (
-                exp.get("hollow", {}).get("value") and exp.get("uniform", {}).get("value")
-            ):
-                continue
-            name = f"{base.name}_sq"
-            M = direct_sum(base.module, base.module).module
-            expected = _merge({}, golden.get(name, {}))
-            doc = dict(module_to_json(M, name), expected=expected)
-            fixtures.append(Fixture(name, M, doc, expected))
+    for base in list(fixtures):
+        exp = base.expected
+        if not (exp.get("hollow", {}).get("value") and exp.get("uniform", {}).get("value")):
+            continue
+        name = f"{base.name}_sq"
+        M = direct_sum(base.module, base.module).module
+        expected = _merge({}, golden.get(name, {}))
+        doc = dict(module_to_json(M, name), expected=expected)
+        fixtures.append(Fixture(name, M, doc, expected))
 
     return tuple(fixtures)
 

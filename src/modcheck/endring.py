@@ -23,11 +23,10 @@ from itertools import product
 import numpy as np
 
 from .errors import TooLarge
-from .homs import hom_space
+from .homs import DEFAULT_CAP_HOM, hom_space
 from .linalg import identity, invertible_mask, lin_comb, point_coords, rref_array, solve_row
 from .modules import RepModule
 
-DEFAULT_CAP_END = 1 << 20
 CHUNK = 1 << 14
 
 
@@ -61,7 +60,7 @@ def _chunks(size: int, r: int, p: int):
         yield start, point_coords(np.arange(start, min(start + CHUNK, size)), r, p)
 
 
-def endomorphism_ring(M: RepModule, cap: int = DEFAULT_CAP_END) -> EndRing:
+def endomorphism_ring(M: RepModule, cap: int = DEFAULT_CAP_HOM) -> EndRing:
     """End(M) with its unit mask; TooLarge when p^dim exceeds the cap."""
     p = M.field.p
     n = M.dim

@@ -50,10 +50,6 @@ class NotEpi(ModcheckError):
     """A map required to be surjective is not."""
 
 
-class NotMono(ModcheckError):
-    """A map required to be injective is not."""
-
-
 class CardinalityVacuous(ModcheckError):
     """The requested branch cannot occur on finite modules.
 

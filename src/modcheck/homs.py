@@ -1,20 +1,21 @@
 """Hom-space computation and elementary operations on module maps.
 
 hom_space solves the commuting-matrix equations A_i H = H B_i exactly,
-returning a basis of the solution space; enumerate_homs walks every
-F_p-combination of that basis (capped, since the count is p^dim), and
-hom_stack yields the same combinations as int64 stacks for batched work.
+returning a basis of the solution space; hom_stack yields every
+F_p-combination of that basis as int64 stacks for batched work (capped,
+since the count is p^dim), and enumerate_homs reads the same stacks one
+ModuleHom at a time.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge
 from .linalg import POINT_CHUNK, left_kernel, lin_comb, mat_mul, point_coords, rank
 from .modules import ModuleHom, RepModule, Submodule, _as_rep, make_submodule
+
+DEFAULT_CAP_HOM = 1 << 20  # largest hom count a sweep walks unless a caller raises it
 
 
 def hom_space(A, B) -> tuple:
@@ -59,26 +60,24 @@ def hom_space(A, B) -> tuple:
     return tuple(basis)
 
 
-def enumerate_homs(A, B, cap: int = 1 << 20):
-    """Yield every hom A -> B.  Raises TooLarge when p^dim exceeds cap."""
-    src = _as_rep(A)
-    tgt = _as_rep(B)
-    p = src.field.p
-    basis = hom_space(A, B)
-    count = p ** len(basis)
-    if count > cap:
-        raise TooLarge("hom enumeration", count, cap)
-    for coeffs in product(range(p), repeat=len(basis)):
-        yield ModuleHom._trusted(A, B, lin_comb(coeffs, basis, src.dim, tgt.dim, p))
+def enumerate_homs(A, B, cap: int = DEFAULT_CAP_HOM):
+    """Yield every hom A -> B, in hom_stack order.
+
+    Raises TooLarge when p^dim exceeds cap, on the first next().
+    """
+    for chunk in hom_stack(A, B, cap):
+        for H in chunk.tolist():
+            yield ModuleHom._trusted(A, B, tuple(map(tuple, H)))
 
 
-def hom_stack(A, B, cap: int | None = 1 << 20):
+def hom_stack(A, B, cap: int | None = DEFAULT_CAP_HOM):
     """Every hom A -> B as (N, dim A, dim B) int64 chunks, N <= POINT_CHUNK.
 
-    The homs come in enumerate_homs order: their coordinates in the
-    hom_space basis run through product(range(p), repeat=d).  Raises the
-    same TooLarge as enumerate_homs when p^d exceeds cap, at the call,
-    before any chunk is built; cap None leaves the count unbounded.
+    The homs' coordinates in the hom_space basis run through
+    product(range(p), repeat=d), the last coordinate fastest.  Raises
+    TooLarge when p^d exceeds cap, at the call, before any chunk is built;
+    cap None leaves the count unbounded.  When either end is zero the one
+    hom is the zero map.
     """
     src = _as_rep(A)
     tgt = _as_rep(B)
@@ -96,7 +95,7 @@ def _hom_chunks(flat: np.ndarray, count: int, na: int, nb: int, p: int):
         # point_coords puts the least significant digit first, while
         # product() varies the last coordinate fastest
         coeffs = point_coords(np.arange(start, min(start + POINT_CHUNK, count)), len(flat), p)
-        yield (coeffs[:, ::-1] @ flat % p).reshape(-1, na, nb)
+        yield (coeffs[:, ::-1] @ flat % p).reshape(len(coeffs), na, nb)
 
 
 def hom_from_coords(A, B, basis: tuple, coeffs) -> ModuleHom:

@@ -31,9 +31,10 @@ import numpy as np
 
 from .endring import endomorphism_ring, is_local
 from .errors import ShapeMismatch, TooLarge, ZeroModule
+from .homs import DEFAULT_CAP_HOM
 from .lattice import DEFAULT_CAP_DIM, SubmoduleLattice, lattice_of
 from .modules import RepModule, Submodule
-from .summands import fiep_scan
+from .summands import DEFAULT_N_MAX, DEFAULT_SEED, fiep_scan
 
 PROPERTY_NAMES = (
     "small",
@@ -59,14 +60,6 @@ def socle(M: RepModule) -> Submodule:
     """Sum of the minimal submodules (zero if there are none)."""
     lat = lattice_of(M)
     return lat.members[lat.socle_index()]
-
-
-def radical_index(lat: SubmoduleLattice) -> int:
-    return lat.radical_index()
-
-
-def socle_index(lat: SubmoduleLattice) -> int:
-    return lat.socle_index()
 
 
 # -- small / essential / coessential ------------------------------------------
@@ -119,44 +112,31 @@ def is_coessential(K: Submodule, N: Submodule, M: RepModule) -> bool:
 
 # -- module-level predicates ---------------------------------------------------
 
-def hollow_scan(lat: SubmoduleLattice) -> bool:
-    """Nonzero, and every proper submodule is small.
+def hollow_scan(lat: SubmoduleLattice, i: int | None = None) -> bool:
+    """Member i (M by default) is nonzero and every proper submodule of it
+    is small in it.
 
-    Equivalent scan: no two proper submodules sum to M.
+    Equivalent scan: no two proper submodules of i sum to i.  They are the
+    members below i, with the same sums as in M, and a sum below i is
+    proper exactly when some lower cover of i contains both summands; so
+    every pair below i must share a cover, one boolean product.
     """
-    if lat.module.dim == 0:
-        raise ZeroModule("hollow is undefined for the zero module")
-    return not lat.cospan[:-1, :-1].any()
-
-
-def uniform_scan(lat: SubmoduleLattice) -> bool:
-    """Nonzero, and every nonzero submodule is essential.
-
-    Equivalent scan: no two nonzero submodules intersect in zero.
-    """
-    if lat.module.dim == 0:
-        raise ZeroModule("uniform is undefined for the zero module")
-    return not lat.disjoint[1:, 1:].any()
-
-
-def hollow_interval_scan(lat: SubmoduleLattice, i: int) -> bool:
-    """hollow_scan of member i, read on the interval [0, i] of lat.
-
-    The submodules of member i are the members below it, and their sums
-    are the same in i as in M, so no two proper ones may join to i.
-    """
+    i = lat.full_index if i is None else i
     if i == lat.zero_index:
         raise ZeroModule("hollow is undefined for the zero module")
-    below = np.flatnonzero(lat.containment[:, i])[:-1]  # i itself is the last
-    return not (lat.joins(below[:, None], below[None, :]) == i).any()
+    covers = [a for a, b in lat.hasse_edges if b == i]
+    below = lat.containment[:, covers][lat.containment[:, i]][:-1]  # i itself is the last
+    return bool((below @ below.T).all())
 
 
-def uniform_interval_scan(lat: SubmoduleLattice, i: int) -> bool:
-    """uniform_scan of member i, read on the interval [0, i] of lat.
+def uniform_scan(lat: SubmoduleLattice, i: int | None = None) -> bool:
+    """Member i (M by default) is nonzero and every nonzero submodule of it
+    is essential in it.
 
-    Intersections are the same in i as in M, so no two nonzero members
-    below i may be disjoint.
+    Equivalent scan: intersections are the same in i as in M, so no two
+    nonzero members below i may be disjoint.
     """
+    i = lat.full_index if i is None else i
     if i == lat.zero_index:
         raise ZeroModule("uniform is undefined for the zero module")
     below = np.flatnonzero(lat.containment[1:, i]) + 1
@@ -313,9 +293,9 @@ def property_report(
     M: RepModule,
     subject: str = "",
     cap_dim: int = DEFAULT_CAP_DIM,
-    cap_hom: int = 1 << 20,
-    n_max: int = 3,
-    seed: int = 1789,
+    cap_hom: int = DEFAULT_CAP_HOM,
+    n_max: int = DEFAULT_N_MAX,
+    seed: int = DEFAULT_SEED,
 ) -> PropertyReport:
     verdicts: dict = {}
     witnesses: dict = {}

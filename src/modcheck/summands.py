@@ -47,6 +47,8 @@ from .lattice import SubmoduleLattice, lattice_of
 from .linalg import rank
 from .modules import RepModule, Submodule
 
+DEFAULT_N_MAX = 3  # widest decomposition the exchange scan tries
+DEFAULT_SEED = 1789  # seed of the documented deterministic subsamples
 DECOMP_SAMPLE_CAP = 10**4
 FIEP_WITNESS_LIMIT = 100
 # rows × columns of the largest boolean or index array one array pass
@@ -73,11 +75,6 @@ class Decomposition:
 
     def __len__(self):
         return len(self.parts)
-
-
-def summand_indices(lat: SubmoduleLattice) -> tuple:
-    """Indices of all direct summands, ascending canonical order."""
-    return lat.summand_indices()
 
 
 def is_direct_summand(X: Submodule, M: RepModule):
@@ -237,8 +234,8 @@ class FiepReport:
 
 def has_fiep(
     M: RepModule,
-    n_max: int = 3,
-    seed: int = 1789,
+    n_max: int = DEFAULT_N_MAX,
+    seed: int = DEFAULT_SEED,
     sample_cap: int = DECOMP_SAMPLE_CAP,
 ) -> FiepReport:
     return fiep_scan(lattice_of(M), n_max=n_max, seed=seed, sample_cap=sample_cap)
@@ -246,8 +243,8 @@ def has_fiep(
 
 def fiep_scan(
     lat: SubmoduleLattice,
-    n_max: int = 3,
-    seed: int = 1789,
+    n_max: int = DEFAULT_N_MAX,
+    seed: int = DEFAULT_SEED,
     sample_cap: int = DECOMP_SAMPLE_CAP,
 ) -> FiepReport:
     """Scan the finite internal exchange property up to n_max parts.

@@ -42,13 +42,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotHollowUniform, TooLarge
-from .homs import hom_space
+from .homs import DEFAULT_CAP_HOM, hom_space
 from .lattice import lattice_of
 from .linalg import lin_comb, mat_mul, solve_row
 from .modules import RepModule, quotient_module
 from .properties import hollow_scan, uniform_scan
-
-DEFAULT_CAP_SWEEP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def _flatten(M) -> tuple:
     return tuple(x for row in M for x in row)
 
 
-def _sweep(theorem: str, U: RepModule, variant: str, cap_sweep: int, system) -> TheoremReport:
+def _sweep(theorem: str, U: RepModule, variant: str, cap_hom: int, system) -> TheoremReport:
     """Branch (i) over every canonical triple of one criterion.
 
     ``system(member)`` returns the hom-space basis the triple's f ranges
@@ -121,8 +119,8 @@ def _sweep(theorem: str, U: RepModule, variant: str, cap_sweep: int, system) -> 
     outcomes = []
     for member in lat.members:
         fam, (rows, cols), image = system(member)
-        if p ** len(fam) > cap_sweep:
-            raise TooLarge(f"{theorem} sweep", p ** len(fam), cap_sweep)
+        if p ** len(fam) > cap_hom:
+            raise TooLarge(f"{theorem} sweep", p ** len(fam), cap_hom)
         A = tuple(_flatten(image(E)) for E in end_basis)
         for coeffs in product(range(p), repeat=len(fam)):
             F = lin_comb(coeffs, fam, rows, cols, p)
@@ -139,7 +137,7 @@ def _sweep(theorem: str, U: RepModule, variant: str, cap_sweep: int, system) -> 
 
 
 def square_lifting_criterion(
-    U: RepModule, variant: str = "b", cap_sweep: int = DEFAULT_CAP_SWEEP
+    U: RepModule, variant: str = "b", cap_hom: int = DEFAULT_CAP_HOM
 ) -> TheoremReport:
     """Decide the lifting condition for M = U², variant (b) or (c).
 
@@ -155,11 +153,11 @@ def square_lifting_criterion(
         Q, pi = quotient_module(U, K)
         return hom_space(U, Q), (n, Q.dim), lambda E: mat_mul(E, pi.matrix, p)
 
-    return _sweep("lifting", U, variant, cap_sweep, system)
+    return _sweep("lifting", U, variant, cap_hom, system)
 
 
 def square_extending_criterion(
-    U: RepModule, variant: str = "b", cap_sweep: int = DEFAULT_CAP_SWEEP
+    U: RepModule, variant: str = "b", cap_hom: int = DEFAULT_CAP_HOM
 ) -> TheoremReport:
     """Decide the extending condition for M = U², variant (b) or (c).
 
@@ -175,4 +173,4 @@ def square_extending_criterion(
         fam = hom_space(X.as_module(), U) if X.dim else ()
         return fam, (X.dim, n), lambda E: mat_mul(X.basis, E, p)
 
-    return _sweep("extending", U, variant, cap_sweep, system)
+    return _sweep("extending", U, variant, cap_hom, system)

@@ -35,18 +35,11 @@ from .exact import (
     z_extension_routes,
 )
 from .graphs import graph_complement, graph_law_sweep
-from .lattice import lattice_of
+from .homs import DEFAULT_CAP_HOM
+from .lattice import DEFAULT_CAP_DIM, lattice_of
 from .modules import ModuleHom, direct_sum
-from .properties import (
-    extending_scan,
-    hollow_interval_scan,
-    hollow_scan,
-    lifting_scan,
-    uniform_interval_scan,
-    uniform_scan,
-    uniserial_scan,
-)
-from .summands import fiep_scan
+from .properties import extending_scan, hollow_scan, lifting_scan, uniform_scan, uniserial_scan
+from .summands import DEFAULT_N_MAX, DEFAULT_SEED, fiep_scan
 from .theorems import square_extending_criterion, square_lifting_criterion
 
 GRAPH_LAW_PAIRS = (
@@ -77,26 +70,17 @@ EXAMPLE_SUBMODULE_BASES = frozenset(
 class VerifyConfig:
     p: int = 2
     q: int = 3
-    cap_dim: int = 8
-    cap_hom: int = 1 << 20
-    n_max: int = 3
-    seed: int = 1789
+    cap_dim: int = DEFAULT_CAP_DIM
+    cap_hom: int = DEFAULT_CAP_HOM
+    n_max: int = DEFAULT_N_MAX
+    seed: int = DEFAULT_SEED
     only: tuple | None = None  # anchors to run; None = all
-    direct_xs: tuple | None = None  # None = default_xs(p, q)
-    partial_xs: tuple | None = None
-
-    def __post_init__(self):
-        direct, partial = default_xs(self.p, self.q)
-        if self.direct_xs is None:
-            object.__setattr__(self, "direct_xs", direct)
-        if self.partial_xs is None:
-            object.__setattr__(self, "partial_xs", partial)
 
     def to_json(self) -> dict:
         d = asdict(self)
         d["only"] = list(d["only"]) if d["only"] is not None else None
-        d["direct_xs"] = list(d["direct_xs"])
-        d["partial_xs"] = list(d["partial_xs"])
+        # the x values the localization checks run, fixed by (p, q)
+        d["direct_xs"], d["partial_xs"] = map(list, default_xs(self.p, self.q))
         return d
 
 
@@ -229,7 +213,7 @@ def _checks_summand_closure(cfg: VerifyConfig, fixtures, claim: str) -> list:
                 part = lat.members[i]
                 if part.dim == 0 or part.dim == fx.module.dim:
                     continue
-                if not (hollow_interval_scan(lat, i) and uniform_interval_scan(lat, i)):
+                if not (hollow_scan(lat, i) and uniform_scan(lat, i)):
                     return False, {
                         "fixture": fx.name,
                         "summand_basis": [list(r) for r in part.basis],
@@ -284,7 +268,7 @@ def _checks_square_criteria(cfg: VerifyConfig, fixtures, claim: str, which: str)
             definitional = scan(lattice_of(square, cap_dim=cfg.cap_dim)).verdict
             # branch (ii) adds nothing on a finite module, so one sweep
             # decides both variants (see theorems)
-            swept = criterion(fx.module, cap_sweep=cfg.cap_hom).verdict
+            swept = criterion(fx.module, cap_hom=cfg.cap_hom).verdict
             witness = {
                 "fixture": fx.name,
                 "definitional": definitional,
@@ -339,6 +323,7 @@ def _checks_integer_routes(cfg: VerifyConfig, fixtures, claim: str) -> list:
 
 def _checks_localization(cfg: VerifyConfig, fixtures, claim: str) -> list:
     p, q = cfg.p, cfg.q
+    direct_xs, partial_xs = default_xs(p, q)
     out = []
 
     def case_check(x, runner):
@@ -349,7 +334,7 @@ def _checks_localization(cfg: VerifyConfig, fixtures, claim: str) -> list:
 
         return check
 
-    for x in cfg.direct_xs:
+    for x in direct_xs:
         out.append(
             _run_check(
                 f"localization-counterexample/direct/x={x}",
@@ -357,7 +342,7 @@ def _checks_localization(cfg: VerifyConfig, fixtures, claim: str) -> list:
                 case_check(x, verify_direct_case),
             )
         )
-    for x in cfg.partial_xs:
+    for x in partial_xs:
         out.append(
             _run_check(
                 f"localization-counterexample/partial/x={x}",

@@ -23,11 +23,8 @@ from modcheck import (
     is_uniform,
     is_uniserial,
     lattice_of,
-    radical_index,
-    socle_index,
     square_extending_criterion,
     square_lifting_criterion,
-    summand_indices,
     verify_claims,
 )
 from modcheck.exact import (
@@ -88,7 +85,7 @@ def test_criterion_02_summands_of_sums(fixtures):
     for a, b in pairs:
         M = direct_sum(a.module, b.module).module
         lat = lattice_of(M)
-        for i in summand_indices(lat):
+        for i in lat.summand_indices():
             X = lat.members[i]
             if X.dim in (0, M.dim):
                 continue
@@ -210,7 +207,7 @@ def test_criterion_09_oracle_agreements(fixtures, base_fixtures):
     for fx in fixtures:
         M = fx.module
         lat = lattice_of(M)
-        ri, si = radical_index(lat), socle_index(lat)
+        ri, si = lat.radical_index(), lat.socle_index()
         for i, N in enumerate(lat.members):
             pairs += 1
             if is_small(N, M) != lat.leq(i, ri):

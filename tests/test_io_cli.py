@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from modcheck.cli import FIEP_WITNESS_LIMIT, main
+from modcheck.cli import FIEP_WITNESS_LIMIT, build_parser, main
 from modcheck.corpus import roundtrip_module, truncated_poly_algebra, truncated_poly_module
 from modcheck.errors import SchemaError
 from modcheck.io import (
@@ -79,6 +79,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# subcommand -> its positional arguments and the shared flags it honours
+CLI_FLAGS = {
+    "report": (("m.json",), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--format", "--out")),
+    "lattice": (("m.json",), ("--cap-dim", "--format", "--out")),
+    "fiep": (("m.json",), ("--cap-dim", "--n-max", "--seed", "--out")),
+    "summands": (("m.json",), ("--cap-dim", "--out")),
+    "homs": (("a.json", "b.json"), ("--cap-hom", "--out")),
+    "exact": ((), ("--seed", "--out")),
+    "verify": ((), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--out")),
+}
+FLAG_VALUES = {"--cap-dim": 9, "--cap-hom": 5, "--n-max": 2, "--seed": 7, "--out": "copy.json"}
+FORMATS = {"report": "text", "lattice": "dot"}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_cli_subcommands_take_only_the_flags_they_honour(capsys, command):
+    positionals, kept = CLI_FLAGS[command]
+    values = dict(FLAG_VALUES, **{"--format": FORMATS.get(command, "text")})
+    for flag in kept:
+        args = build_parser().parse_args([command, *positionals, flag, str(values[flag])])
+        assert getattr(args, flag[2:].replace("-", "_")) == values[flag]
+    for flag in values.keys() - set(kept):
+        assert main([command, *positionals, f"{flag}={values[flag]}"]) == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 24
 
 
 def test_cli_report_json_and_text(capsys):

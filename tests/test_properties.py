@@ -15,7 +15,6 @@ from modcheck.errors import ZeroModule
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
 from modcheck.modules import make_submodule, quotient_module, row_module
 from modcheck.properties import (
-    hollow_interval_scan,
     hollow_scan,
     is_coessential,
     is_essential,
@@ -29,7 +28,6 @@ from modcheck.properties import (
     property_report,
     radical,
     socle,
-    uniform_interval_scan,
     uniform_scan,
 )
 from helpers import point_set
@@ -132,13 +130,13 @@ def test_interval_reads_equal_the_scans_of_each_members_own_lattice(fixtures):
         for i in range(1, len(lat)):
             if i in summands or fx.module.dim <= 6:
                 piece = lattice_of(lat.members[i].as_module())
-                hollow, uniform = hollow_interval_scan(lat, i), uniform_interval_scan(lat, i)
+                hollow, uniform = hollow_scan(lat, i), uniform_scan(lat, i)
                 assert (hollow, uniform) == (hollow_scan(piece), uniform_scan(piece)), (fx.name, i)
                 verdicts.append((i in summands, hollow, uniform))
         with pytest.raises(ZeroModule):
-            hollow_interval_scan(lat, lat.zero_index)
+            hollow_scan(lat, lat.zero_index)
         with pytest.raises(ZeroModule):
-            uniform_interval_scan(lat, lat.zero_index)
+            uniform_scan(lat, lat.zero_index)
     assert verdicts.count((True, True, True)) == 215
     assert {v[1:] for v in verdicts} == {(True, True), (False, False)}
 

@@ -1,6 +1,7 @@
 """Summand enumeration, exchange scans, and the graph-submodule laws."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from modcheck.errors import (
 )
 from modcheck.graphs import GraphLawSweep, graph_complement, graph_law_sweep, graph_laws, graph_of
 from modcheck.homs import enumerate_homs, hom_space, hom_from_coords, hom_stack, restrict
-from modcheck.linalg import rank
+from modcheck.linalg import lin_comb, rank
 from modcheck.modules import ModuleHom, direct_sum, make_submodule, zero_hom
 from modcheck.properties import lattice_of, radical
 from modcheck.summands import (
@@ -26,7 +27,6 @@ from modcheck.summands import (
     all_summands,
     has_fiep,
     is_direct_summand,
-    summand_indices,
 )
 from modcheck.verify import GRAPH_LAW_PAIRS
 
@@ -41,7 +41,7 @@ def test_summands_satisfy_the_definition(fixtures_by_name):
     for name in ("semisimple3_f2", "chain_f2_k3", "tri4_f3", "mat2_simple_f2_sq"):
         M = fixtures_by_name[name].module
         lat = lattice_of(M)
-        summands = set(summand_indices(lat))
+        summands = set(lat.summand_indices())
         p = M.algebra.field.p
         for i in range(len(lat.members)):
             has_complement = any(
@@ -192,6 +192,12 @@ def test_graph_law_sweep_reports_the_first_failing_case(fixtures_by_name):
     assert doctored.first_failure()["kernel_law"] is False
 
 
+def _literal_homs(A, B) -> list:
+    """Every hom A -> B by the literal walk over its hom_space coordinates."""
+    p, basis = A.field.p, hom_space(A, B)
+    return [lin_comb(c, basis, A.dim, B.dim, p) for c in product(range(p), repeat=len(basis))]
+
+
 def test_hom_stack_yields_the_homs_in_enumerate_homs_order(fixtures_by_name, monkeypatch):
     pairs = [
         (fixtures_by_name[an].module, fixtures_by_name[bn].module) for an, bn in GRAPH_LAW_PAIRS
@@ -203,10 +209,23 @@ def test_hom_stack_yields_the_homs_in_enumerate_homs_order(fixtures_by_name, mon
         assert all(c.dtype == np.int64 and c.shape[1:] == (A.dim, B.dim) for c in chunks)
         assert all(len(c) <= 7 for c in chunks)
         stacked = [tuple(map(tuple, m)) for c in chunks for m in c.tolist()]
-        assert stacked == [h.matrix for h in enumerate_homs(A, B)]
+        assert stacked == _literal_homs(A, B)
+        assert [h.matrix for h in enumerate_homs(A, B)] == stacked
         # a sweep over many chunks joins their columns in the same order
         chunked = graph_law_sweep(direct_sum(A, B), 1 << 20, radical(A)).columns
         assert all((chunked[name] == columns[name]).all() for name in columns)
+
+
+def test_hom_stack_yields_the_zero_hom_when_an_end_is_zero():
+    from modcheck.algebra import shaped_matrix_algebra
+    from modcheck.field import PrimeField
+    from modcheck.modules import row_module
+
+    alg = shaped_matrix_algebra(PrimeField(2), ((1, 1), (0, 1)))
+    Z, M = row_module(alg, 0), row_module(alg, 2)
+    for A, B in ((Z, Z), (Z, M), (M, Z)):
+        assert [c.shape for c in hom_stack(A, B)] == [(1, A.dim, B.dim)]
+        assert [h.matrix for h in enumerate_homs(A, B)] == _literal_homs(A, B)
 
 
 def test_graph_law_sweep_refuses_like_enumerate_homs(fixtures_by_name):
