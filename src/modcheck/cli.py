@@ -22,7 +22,7 @@ from .homs import DEFAULT_CAP_HOM, hom_space
 from .lattice import DEFAULT_CAP_DIM, lattice_of
 from .properties import property_report
 from .summands import DEFAULT_N_MAX, DEFAULT_SEED, FIEP_WITNESS_LIMIT, fiep_scan
-from .verify import RUN_ORDER, VerifyConfig, verify_claims
+from .verify import DEFAULT_PQ, RUN_ORDER, VerifyConfig, verify_claims
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,6 +50,8 @@ SHARED_FLAGS = {
     "--cap-hom": dict(type=int, default=DEFAULT_CAP_HOM, help="largest hom/endomorphism sweep size"),
     "--n-max": dict(type=int, default=DEFAULT_N_MAX, help="largest decomposition width for exchange scans"),
     "--seed": dict(type=int, default=DEFAULT_SEED, help="seed for the documented deterministic subsamples"),
+    "--p": dict(type=int, default=DEFAULT_PQ[0], help="the prime p of the localization example"),
+    "--q": dict(type=int, default=DEFAULT_PQ[1], help="the prime q of the localization example"),
     "--out": dict(help="also write the output to this file"),
 }
 # subcommand -> the shared flags it honours, and its --format choices (default first)
@@ -59,8 +61,8 @@ COMMAND_FLAGS = {
     "fiep": (("--cap-dim", "--n-max", "--seed", "--out"), None),
     "summands": (("--cap-dim", "--out"), None),
     "homs": (("--cap-hom", "--out"), None),
-    "exact": (("--seed", "--out"), None),
-    "verify": (("--cap-dim", "--cap-hom", "--n-max", "--seed", "--out"), None),
+    "exact": (("--p", "--q", "--out"), None),
+    "verify": (("--cap-dim", "--cap-hom", "--n-max", "--seed", "--p", "--q", "--out"), None),
 }
 
 
@@ -142,23 +144,11 @@ def cmd_homs(args) -> int:
     return EXIT_OK
 
 
-def _route_x(x: Fraction, args):
-    from .exact import verify_direct_case, verify_graph_decomposition, verify_partial_case
-    from .exact.rationals import valuation
-
-    if x != 0 and valuation(x, args.q) < 0:
-        reports = [
-            verify_partial_case(x, p=args.p, q=args.q, seed=args.seed),
-            verify_graph_decomposition(x, p=args.p, q=args.q, seed=args.seed),
-        ]
-    else:
-        reports = [verify_direct_case(x, p=args.p, q=args.q, seed=args.seed)]
-    return reports
-
-
 def cmd_exact(args) -> int:
-    from .exact import default_xs, fiep_failure_report, z_extension_routes
+    from .exact import case_runners, default_xs, fiep_failure_report, z_extension_routes
 
+    if args.mode not in ("cases", "zext"):
+        raise SchemaError(f"unknown exact mode {args.mode!r}: choose 'cases' or 'zext'", path=[])
     if args.mode == "zext":
         if args.a is None or args.b is None:
             raise SchemaError("zext mode needs --a and --b", path=[])
@@ -174,7 +164,8 @@ def cmd_exact(args) -> int:
     all_pass = True
     for raw in xs:
         x = Fraction(raw)
-        for rep in _route_x(x, args):
+        for _, runner in case_runners(x, args.q):
+            rep = runner(x, args.p, args.q)
             certificates.append(rep.to_json())
             unresolved.extend(rep.unresolved)
             all_pass = all_pass and bool(rep.verdict)
@@ -237,42 +228,36 @@ def cmd_verify(args) -> int:
     return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Config file supplies defaults; explicit flags already won at parse."""
-    if not getattr(args, "config", None):
-        return
+def _with_config_file(parser, argv: list, args) -> list:
+    """argv with the config file's values put in as flags right after the
+    subcommand.  argparse then parses each value by its flag, and every
+    explicit flag, which comes later, overrides it."""
     try:
         with open(args.config) as f:
             values = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(f"cannot read config file: {e}", path=[]) from e
+        parser.error(f"cannot read config file: {e}")
     if not isinstance(values, dict):
-        raise SchemaError("config file must hold a JSON object", path=[])
+        parser.error("config file must hold a JSON object")
+    flags = []
     for key, value in values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
-            raise SchemaError(f"unknown config key: {key}", path=[key])
-        if attr not in args._explicit:
-            setattr(args, attr, value)
+            parser.error(f"unknown config key: {key}")
+        if isinstance(getattr(args, attr), list):
+            continue  # a repeatable flag the command line gave: its list wins
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                flags.append(flag)
+            elif item is not False:
+                flags += [flag, str(item)]
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which dests were set on the command line, so a config
-    file can fill in the rest without overriding explicit flags."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else list(argv)
-        for token in argv:
-            if token.startswith("--"):
-                explicit.add(token.lstrip("-").split("=")[0].replace("-", "_"))
-        args._explicit = explicit
-        return args
-
-
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="modcheck", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="modcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, help in (
@@ -291,18 +276,14 @@ def build_parser() -> _TrackingParser:
         sub, "exact", cmd_exact, "exact-arithmetic verification of the localization example"
     )
     p_exact.add_argument(
-        "mode", nargs="?", default="cases", choices=("cases", "zext"),
+        "mode", nargs="?", default="cases",
         help="'cases' verifies the endomorphism example, 'zext' the integer routes",
     )
-    p_exact.add_argument("--p", type=int, default=2)
-    p_exact.add_argument("--q", type=int, default=3)
     p_exact.add_argument("--x", action="append", help="rational test value, repeatable")
     p_exact.add_argument("--a", type=int, help="zext: source multiplier")
     p_exact.add_argument("--b", type=int, help="zext: image multiplier")
 
     p_verify = _command(sub, "verify", cmd_verify, "run the full verification manifest")
-    p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--q", type=int, default=3)
     p_verify.add_argument("--only", action="append", choices=RUN_ORDER, help="restrict to one claim anchor, repeatable")
     p_verify.add_argument("--config", help="JSON file with flag defaults")
     p_verify.add_argument("--regen-golden", action="store_true", help="recompute golden expected values and fixture files")
@@ -311,13 +292,15 @@ def build_parser() -> _TrackingParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(_with_config_file(parser, argv, args))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        _apply_config_file(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

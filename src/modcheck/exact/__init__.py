@@ -5,6 +5,7 @@ from .counterexample import (
     CaseReport,
     FiepFailureReport,
     GeneratedSubmodule,
+    case_runners,
     default_x_submodule,
     default_xs,
     f_of,
@@ -57,6 +58,7 @@ __all__ = [
     "UnitCertificate",
     "as_fraction",
     "brute_route_scan",
+    "case_runners",
     "decompose_x",
     "default_x_submodule",
     "default_xs",

@@ -12,10 +12,10 @@ itself would not make sense on the Prüfer component.  Two cases:
                 N = (p^m·ē)R and h: N → U with h(p^m·ē) = q^n·(s/t)·ē;
                 then h is epi and f∘h = π|_N.
 
-Both identities are checked exactly on the generator and on a seeded
-sample, with equality in U/X decided by membership solving against X's
-generating set.  Divisions that would leave a localization surface as
-UNRESOLVED outcomes instead of silent guesses.
+Both identities are checked exactly on the generator and on the sample
+drawn at SAMPLE_SEED, with equality in U/X decided by membership solving
+against X's generating set.  Divisions that would leave a localization
+surface as UNRESOLVED outcomes instead of silent guesses.
 """
 
 from __future__ import annotations
@@ -183,17 +183,10 @@ def _check_f_well_defined(x: Fraction, X: GeneratedSubmodule, checks: list) -> N
     checks.append(("f_well_defined_mod_X", ok, "; ".join(details)))
 
 
-def verify_direct_case(
-    x,
-    p: int = 2,
-    q: int = 3,
-    X: GeneratedSubmodule | None = None,
-    seed: int = SAMPLE_SEED,
-) -> CaseReport:
+def verify_direct_case(x, p: int, q: int) -> CaseReport:
     """x ∈ ℤ_(p) ∩ ℤ_(q): h = mult_endo(x) satisfies π∘h = f."""
     x = as_fraction(x)
-    if X is None:
-        X = default_x_submodule(p, q)
+    X = default_x_submodule(p, q)
     if x != 0 and valuation(x, p) < 0:
         raise WrongBranch(f"{x} is not in Z_({p})")
     if x != 0 and valuation(x, q) < 0:
@@ -211,7 +204,7 @@ def verify_direct_case(
     checks.append(
         ("identity_on_generator", member and diff.is_zero(), "π(h(ē)) = f(ē) exactly")
     )
-    samples = sample_uelements(p, q, seed=seed)
+    samples = sample_uelements(p, q)
     bad = 0
     for u in samples:
         try:
@@ -228,17 +221,10 @@ def verify_direct_case(
     return CaseReport("direct", p, q, x, verdict, tuple(checks), tuple(unresolved))
 
 
-def verify_partial_case(
-    x,
-    p: int = 2,
-    q: int = 3,
-    X: GeneratedSubmodule | None = None,
-    seed: int = SAMPLE_SEED,
-) -> CaseReport:
+def verify_partial_case(x, p: int, q: int) -> CaseReport:
     """v_q(x) < 0: the partial hom h(p^m·ē) = q^n·(s/t)·ē is epi with f∘h = π|_N."""
     x = as_fraction(x)
-    if X is None:
-        X = default_x_submodule(p, q)
+    X = default_x_submodule(p, q)
     m, n, t, s = decompose_x(x, p, q)
     checks = []
     unresolved = []
@@ -261,7 +247,7 @@ def verify_partial_case(
     except UnresolvedDivision as e:
         unresolved.append(e.equation)
     missed = 0
-    for target in sample_uelements(p, q, seed=seed):
+    for target in sample_uelements(p, q):
         try:
             h.preimage_of(target)
         except UnresolvedDivision as e:
@@ -276,7 +262,7 @@ def verify_partial_case(
     gen_n = h.source_generator()
     x_gen = UElement.of(p, q, x)
     bad = 0
-    for rr in sample_relements(p, q, seed=seed):
+    for rr in sample_relements(p, q):
         u_n = gen_n.act(rr)
         if not h.in_source(u_n):
             bad += 1
@@ -299,12 +285,7 @@ def verify_partial_case(
     return CaseReport("partial", p, q, x, verdict, tuple(checks), tuple(unresolved))
 
 
-def verify_graph_decomposition(
-    x,
-    p: int = 2,
-    q: int = 3,
-    seed: int = SAMPLE_SEED,
-) -> CaseReport:
+def verify_graph_decomposition(x, p: int, q: int) -> CaseReport:
     """Check the two-graph decomposition identities behind U² = ⟨h₁⟩ ⊕ ⟨h₂⟩.
 
     h₁: N₁ → U₂ is the partial-case epimorphism and h₂ its coordinate
@@ -342,8 +323,8 @@ def verify_graph_decomposition(
     # handles β.
     base = UElement.of(p, q, Fraction(p) ** (2 * m))
     inv_w = 1 / w
-    rs = sample_relements(p, q, seed=seed)
-    sides = (rs[:12], sample_relements(p, q, seed=seed + 7)[:8])
+    rs = sample_relements(p, q)
+    sides = (rs[:12], sample_relements(p, q, seed=SAMPLE_SEED + 7)[:8])
 
     # Per-sample values of the pair scan below, keyed by (side, index).
     # Each is computed the first time the pair loop needs it and reused
@@ -415,6 +396,15 @@ def verify_graph_decomposition(
     return CaseReport("graph", p, q, x, verdict, tuple(checks), tuple(unresolved))
 
 
+def case_runners(x: Fraction, q: int) -> tuple:
+    """The (name, runner) pairs that verify x, in report order: the
+    partial case and the graph decomposition when v_q(x) < 0, else the
+    direct case.  ``modcheck exact`` and ``verify`` both route x here."""
+    if x != 0 and valuation(x, q) < 0:
+        return (("partial", verify_partial_case), ("graph", verify_graph_decomposition))
+    return (("direct", verify_direct_case),)
+
+
 CITATION = "[AF, Proposition 12.10]"
 
 
@@ -450,7 +440,7 @@ class FiepFailureReport:
         }
 
 
-def fiep_failure_report(p: int = 2, q: int = 3) -> FiepFailureReport:
+def fiep_failure_report(p: int, q: int) -> FiepFailureReport:
     pair, certificates = certified_witness(p, q)
     return FiepFailureReport(
         p=p,

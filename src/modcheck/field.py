@@ -29,8 +29,7 @@ class PrimeField:
     """The field of integers mod a prime p.
 
     Elements are plain ints in range(p); the class only carries the
-    modulus and the arithmetic helpers, which keeps vectors and matrices
-    as cheap int tuples.
+    modulus, which keeps vectors and matrices as cheap int tuples.
     """
 
     p: int
@@ -39,29 +38,6 @@ class PrimeField:
         if not (2 <= self.p <= _MAX_MODULUS) or not _is_prime(self.p):
             raise NonPrime(f"{self.p} is not a prime in range")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
-
-    def elements(self):
-        return range(self.p)
-
     def __repr__(self):
         return f"F{self.p}"
 
-
-def make_prime_field(p: int) -> PrimeField:
-    return PrimeField(p)

@@ -31,9 +31,9 @@ only embeds U into a quotient of at least U's size:
   maps lie in End(U).
 
 Either way branch (ii) discharges only triples branch (i) already
-discharges, so the sweep emits "i" or "none" per triple and both
-variants give the same verdict and witnesses; ``variant`` labels the
-report.  The exact-arithmetic backend is where branch (ii) matters.
+discharges, so the sweep emits "i" or "none" per triple and its one
+report decides both variants.  The exact-arithmetic backend is where
+branch (ii) matters.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class TripleOutcome:
 @dataclass(frozen=True)
 class TheoremReport:
     theorem: str
-    variant: str
     verdict: bool
     outcomes: tuple
 
@@ -90,7 +89,6 @@ class TheoremReport:
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem,
-            "variant": self.variant,
             "verdict": self.verdict,
             "triples": [o.to_json() for o in self.outcomes],
         }
@@ -100,7 +98,7 @@ def _flatten(M) -> tuple:
     return tuple(x for row in M for x in row)
 
 
-def _sweep(theorem: str, U: RepModule, variant: str, cap_hom: int, system) -> TheoremReport:
+def _sweep(theorem: str, U: RepModule, cap_hom: int, system) -> TheoremReport:
     """Branch (i) over every canonical triple of one criterion.
 
     ``system(member)`` returns the hom-space basis the triple's f ranges
@@ -109,8 +107,6 @@ def _sweep(theorem: str, U: RepModule, variant: str, cap_hom: int, system) -> Th
     Σ cᵢ·image(Eᵢ) = F has a solution c over the basis Eᵢ of End(U); the
     witness is h = Σ cᵢ·Eᵢ.
     """
-    if variant not in ("b", "c"):
-        raise ValueError("variant must be 'b' or 'c'")
     lat = lattice_of(U)
     if U.dim == 0 or not (hollow_scan(lat) and uniform_scan(lat)):
         raise NotHollowUniform("the component module must be hollow and uniform")
@@ -133,19 +129,17 @@ def _sweep(theorem: str, U: RepModule, variant: str, cap_hom: int, system) -> Th
                     TripleOutcome(member.basis, F, "i", {"h": [list(r) for r in h]})
                 )
     verdict = all(o.branch == "i" for o in outcomes)
-    return TheoremReport(theorem, variant, verdict, tuple(outcomes))
+    return TheoremReport(theorem, verdict, tuple(outcomes))
 
 
-def square_lifting_criterion(
-    U: RepModule, variant: str = "b", cap_hom: int = DEFAULT_CAP_HOM
-) -> TheoremReport:
-    """Decide the lifting condition for M = U², variant (b) or (c).
+def square_lifting_criterion(U: RepModule, cap_hom: int = DEFAULT_CAP_HOM) -> TheoremReport:
+    """Decide the lifting condition for M = U², variants (b) and (c) alike.
 
     Canonical triple family: X = U₂/K for K over the lattice of U,
     g = natural projection, f over Hom(U₁, U₂/K).  A triple holds when
     some h: U₁ → U₂ has f = g∘h, the system E·P = F for the projection
     matrix P.  The branch (ii) of either variant adds nothing on a
-    finite module, so ``variant`` only labels the report.
+    finite module.
     """
     p, n = U.field.p, U.dim
 
@@ -153,19 +147,16 @@ def square_lifting_criterion(
         Q, pi = quotient_module(U, K)
         return hom_space(U, Q), (n, Q.dim), lambda E: mat_mul(E, pi.matrix, p)
 
-    return _sweep("lifting", U, variant, cap_hom, system)
+    return _sweep("lifting", U, cap_hom, system)
 
 
-def square_extending_criterion(
-    U: RepModule, variant: str = "b", cap_hom: int = DEFAULT_CAP_HOM
-) -> TheoremReport:
-    """Decide the extending condition for M = U², variant (b) or (c).
+def square_extending_criterion(U: RepModule, cap_hom: int = DEFAULT_CAP_HOM) -> TheoremReport:
+    """Decide the extending condition for M = U², variants (b) and (c) alike.
 
     Canonical triple family: X over the lattice of U₁, g = inclusion,
     f over Hom(X, U₂).  A triple holds when some h: U₁ → U₂ has
     f = h∘g, the system B_X·E = F for X's basis B_X.  The branch (ii) of
-    either variant adds nothing on a finite module, so ``variant`` only
-    labels the report.
+    either variant adds nothing on a finite module.
     """
     p, n = U.field.p, U.dim
 
@@ -173,4 +164,4 @@ def square_extending_criterion(
         fam = hom_space(X.as_module(), U) if X.dim else ()
         return fam, (X.dim, n), lambda E: mat_mul(X.basis, E, p)
 
-    return _sweep("extending", U, variant, cap_hom, system)
+    return _sweep("extending", U, cap_hom, system)

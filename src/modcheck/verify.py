@@ -22,16 +22,15 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .corpus import corpus, hollow_uniform_fixtures
 from .errors import ModcheckError
 from .exact import (
     brute_route_scan,
+    case_runners,
     default_xs,
     fiep_failure_report,
-    verify_direct_case,
-    verify_graph_decomposition,
-    verify_partial_case,
     z_extension_routes,
 )
 from .graphs import graph_complement, graph_law_sweep
@@ -66,10 +65,14 @@ EXAMPLE_SUBMODULE_BASES = frozenset(
 )
 
 
+# the prime pair (p, q) of the localization example, unless --p/--q say otherwise
+DEFAULT_PQ = (2, 3)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    p: int = 2
-    q: int = 3
+    p: int = DEFAULT_PQ[0]
+    q: int = DEFAULT_PQ[1]
     cap_dim: int = DEFAULT_CAP_DIM
     cap_hom: int = DEFAULT_CAP_HOM
     n_max: int = DEFAULT_N_MAX
@@ -323,40 +326,15 @@ def _checks_integer_routes(cfg: VerifyConfig, fixtures, claim: str) -> list:
 
 def _checks_localization(cfg: VerifyConfig, fixtures, claim: str) -> list:
     p, q = cfg.p, cfg.q
-    direct_xs, partial_xs = default_xs(p, q)
     out = []
+    for x in chain(*default_xs(p, q)):
+        for name, runner in case_runners(Fraction(x), q):
 
-    def case_check(x, runner):
-        def check():
-            report = runner(Fraction(x), p=p, q=q)
-            ok = bool(report.verdict) and not report.unresolved
-            return ok, report.to_json()
+            def check(x=x, runner=runner):
+                report = runner(Fraction(x), p, q)
+                return bool(report.verdict) and not report.unresolved, report.to_json()
 
-        return check
-
-    for x in direct_xs:
-        out.append(
-            _run_check(
-                f"localization-counterexample/direct/x={x}",
-                claim,
-                case_check(x, verify_direct_case),
-            )
-        )
-    for x in partial_xs:
-        out.append(
-            _run_check(
-                f"localization-counterexample/partial/x={x}",
-                claim,
-                case_check(x, verify_partial_case),
-            )
-        )
-        out.append(
-            _run_check(
-                f"localization-counterexample/graph/x={x}",
-                claim,
-                case_check(x, verify_graph_decomposition),
-            )
-        )
+            out.append(_run_check(f"localization-counterexample/{name}/x={x}", claim, check))
 
     # one failure report serves both checks below; an error while building
     # it is not cached, so it still fails each check on its own

@@ -17,13 +17,8 @@ import pytest
 
 import modcheck
 from modcheck.cli import main
-from modcheck.exact import (
-    fiep_failure_report,
-    valuation,
-    verify_direct_case,
-    verify_graph_decomposition,
-    verify_partial_case,
-)
+from modcheck.exact import case_runners, fiep_failure_report
+from modcheck.verify import VerifyConfig, _digest as witness_digest, verify_claims
 
 # per (p, q): x in Z_(p) ∩ Z_(q) (direct case), then x with v_q(x) < 0
 # (partial case plus the graph decomposition)
@@ -55,11 +50,7 @@ def _case_docs(p, q):
     docs = []
     for raw in CASE_XS[(p, q)]:
         x = Fraction(raw)
-        if x != 0 and valuation(x, q) < 0:
-            reports = (verify_partial_case(x, p, q), verify_graph_decomposition(x, p, q))
-        else:
-            reports = (verify_direct_case(x, p, q),)
-        docs += [r.to_json() for r in reports]
+        docs += [runner(x, p, q).to_json() for _, runner in case_runners(x, q)]
     docs.append(fiep_failure_report(p, q).to_json())
     return docs
 
@@ -85,3 +76,22 @@ def test_exact_cli_digest_under_optimize():
         env=env, capture_output=True, text=True, check=True,
     )
     assert _digest(run.stdout) == EXACT_CLI_DIGEST
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (5, 3)])
+def test_exact_and_verify_certify_each_case_alike(capsys, p, q):
+    # one driver: every case certificate that `modcheck exact` prints is the
+    # witness that verify digests under the same {case}/x={x} check id
+    assert main(["exact", "--p", str(p), "--q", str(q)]) == 0
+    printed = {
+        f"{c['case']}/x={c['x']}": witness_digest(c)
+        for c in json.loads(capsys.readouterr().out)["certificates"]
+        if c.get("case") in ("direct", "partial", "graph")
+    }
+    manifest = verify_claims(VerifyConfig(p=p, q=q, only=("localization-counterexample",)))
+    checked = {
+        c.check_id.removeprefix("localization-counterexample/"): c.witness_digest
+        for c in manifest.checks
+        if "/x=" in c.check_id
+    }
+    assert len(printed) == 9 and printed == checked

@@ -32,16 +32,6 @@ def test_prime_field_rejects_composites():
             PrimeField(n)
 
 
-def test_field_arithmetic_tables_f3():
-    F = PrimeField(3)
-    assert F.add(2, 2) == 1
-    assert F.mul(2, 2) == 1
-    assert F.neg(1) == 2
-    assert F.inv(2) == 2
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-
-
 matrices = st.integers(2, 3).flatmap(
     lambda p: st.tuples(
         st.just(p),

@@ -88,10 +88,12 @@ CLI_FLAGS = {
     "fiep": (("m.json",), ("--cap-dim", "--n-max", "--seed", "--out")),
     "summands": (("m.json",), ("--cap-dim", "--out")),
     "homs": (("a.json", "b.json"), ("--cap-hom", "--out")),
-    "exact": ((), ("--seed", "--out")),
-    "verify": ((), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--out")),
+    "exact": ((), ("--p", "--q", "--out")),
+    "verify": ((), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--p", "--q", "--out")),
 }
-FLAG_VALUES = {"--cap-dim": 9, "--cap-hom": 5, "--n-max": 2, "--seed": 7, "--out": "copy.json"}
+FLAG_VALUES = {
+    "--cap-dim": 9, "--cap-hom": 5, "--n-max": 2, "--seed": 7, "--p": 5, "--q": 7, "--out": "copy.json"
+}
 FORMATS = {"report": "text", "lattice": "dot"}
 
 
@@ -105,7 +107,7 @@ def test_cli_subcommands_take_only_the_flags_they_honour(capsys, command):
     for flag in values.keys() - set(kept):
         assert main([command, *positionals, f"{flag}={values[flag]}"]) == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
-    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 24
+    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 27
 
 
 def test_cli_report_json_and_text(capsys):
@@ -264,6 +266,20 @@ def test_cli_exact_single_x_and_zext(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["exact", "--cap-dim", "2"], "unrecognized arguments: --cap-dim"),
+        (["exact", "--cap-dim=2"], "unrecognized arguments: --cap-dim=2"),
+        (["exact", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["exact", "bogus"], "unknown exact mode 'bogus'"),
+    ],
+)
+def test_cli_exact_names_the_argument_it_rejects(capsys, argv, named):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and named in err
+
+
 @pytest.mark.parametrize("p, q", [(3, 2), (2, 5), (5, 3)])
 def test_cli_exact_and_verify_pass_at_other_primes(capsys, p, q):
     # the default x values follow --p/--q
@@ -321,6 +337,27 @@ def test_cli_config_file_defaults_and_flag_precedence(capsys, tmp_path):
     cfg.write_text("[1, 2]")
     assert main(["verify", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_cli_config_file_loses_to_abbreviated_flags_and_types_its_values(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n-max": 1, "only": ["integer-routes"]}))
+    for argv in (["--n-m", "2"], ["--n-m=2"], ["--n-max", "2"]):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["config"]["n_max"] == 2, argv
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["config"]["n_max"] == 1
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--on", "running-example")
+    assert code == 0 and json.loads(out)["config"]["only"] == ["running-example"]
+
+    # values go through their flag's type, so a mistyped one is a usage error
+    for bad in ({"cap-dim": "x"}, {"cap_dim": 2.5}, {"only": ["no-such-anchor"]}):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and "Traceback" not in err, bad
+    cfg.write_text(json.dumps({"cap-dim": "6", "regen-golden": False, "only": "integer-routes"}))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["config"]["cap_dim"] == 6
 
 
 def test_cli_out_writes_a_copy(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Square criteria: the two case-analysis variants versus the definition."""
+"""Square criteria: the case-analysis sweep versus the definition."""
 
 import hashlib
 import json
@@ -19,41 +19,26 @@ def test_criteria_agree_with_definitional_scan_on_small_bases(fixtures_by_name):
     for name in ("chain_f2_k2", "chain_f3_k2", "mat2_simple_f2", "tri4_f2"):
         U = fixtures_by_name[name].module
         square = direct_sum(U, U).module
-        assert (
-            is_lifting(square).verdict
-            == square_lifting_criterion(U, "b").verdict
-            == square_lifting_criterion(U, "c").verdict
-        ), name
-        assert (
-            is_extending(square).verdict
-            == square_extending_criterion(U, "b").verdict
-            == square_extending_criterion(U, "c").verdict
-        ), name
+        assert is_lifting(square).verdict == square_lifting_criterion(U).verdict, name
+        assert is_extending(square).verdict == square_extending_criterion(U).verdict, name
 
 
 def test_criteria_reject_components_that_are_not_hollow_uniform(fixtures_by_name):
     S = fixtures_by_name["semisimple2_f2"].module
     with pytest.raises(NotHollowUniform):
-        square_lifting_criterion(S, "b")
+        square_lifting_criterion(S)
     with pytest.raises(NotHollowUniform):
-        square_extending_criterion(S, "c")
+        square_extending_criterion(S)
 
 
 def test_criterion_outcomes_name_their_branches():
     alg = truncated_poly_algebra(2, 4)
     U = truncated_poly_module(alg, 2)
-    rep = square_lifting_criterion(U, "b")
+    rep = square_lifting_criterion(U)
     assert rep.verdict
     assert rep.outcomes  # at least the zero triple is discharged
     assert all(o.branch == "i" for o in rep.outcomes)
     assert rep.failing() is None
-
-
-def test_variant_flag_is_validated():
-    alg = truncated_poly_algebra(2, 4)
-    U = truncated_poly_module(alg, 2)
-    with pytest.raises(Exception):
-        square_lifting_criterion(U, "d")
 
 
 def _a_mod_ya(p):
@@ -77,18 +62,16 @@ def _a_mod_ya(p):
     return RepModule(A, 3, (one, x, y, xy), label=f"A/yA over F_{p}")
 
 
-# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded from the
-# implementation that still ran the branch-(ii) searches on every "none"
-# triple (2 of 11 per criterion for p = 2, 6 of 22 for p = 3)
+# sha256 of json.dumps(report.to_json(), sort_keys=True): the variant-"b"
+# reports of the implementation that still took a variant, with its
+# "variant" key dropped (the "c" reports differed only in that key).  The
+# digests it pinned were recorded when branch (ii) still ran on every
+# "none" triple (2 of 11 per criterion for p = 2, 6 of 22 for p = 3).
 A_MOD_YA_REPORT_DIGESTS = {
-    (2, "lifting", "b"): "eeb1f49e6f6e03ea9c7721bf53eca1139890bcd15acfc5d7d68257e0e339189b",
-    (2, "lifting", "c"): "769ea0f75156f1d1a3d66bb73c9a797ffb60b89c2cd837a36fba07f261857143",
-    (2, "extending", "b"): "95a4e636b1a3681ea9d50f57b89d903926a0b5ead10e75e6548c48b10ec4a466",
-    (2, "extending", "c"): "bf524ae88b4b12ea6f85e20b25a94a202797b2ffe6ee94acd2ce430441965d52",
-    (3, "lifting", "b"): "dce36948e55af9e8cdb1897602f67de452dcfcdac7574247a79fb902f4a99ff6",
-    (3, "lifting", "c"): "e17881abb3df1ddf1b4211c52b483e5358c8c64cdf2a3c2e55255d0e9e689724",
-    (3, "extending", "b"): "faabebe1e8d4d0d3c8082a4589b1eea92360b97f7bd83e1b76e9cc3b4f0887d9",
-    (3, "extending", "c"): "6a2e68169f5702b1fcc787afe8ddb187980a688bc2cba26d87a479b6b8b04380",
+    (2, "lifting"): "828258837aaf36dff3ca7b437714113a97049577f0850ff7c4de155987bf78e0",
+    (2, "extending"): "00c3d05ad3c70adbf97e878e983c48d2e43d2ffb29725b22d1b2da459ee54daf",
+    (3, "lifting"): "f92c24bc450dcf2ec494b1d7bed888d77465b8c0b1747ea8e1862103b3095617",
+    (3, "extending"): "d686751d8f2d384a8fe6f435bcdf7ed5df2a69c499cc949819aac35acdd08db0",
 }
 
 
@@ -102,12 +85,11 @@ def test_criteria_refute_the_square_of_a_mod_ya(p, triples, refuting):
     assert definitional == {"lifting": False, "extending": False}
     criteria = {"lifting": square_lifting_criterion, "extending": square_extending_criterion}
     for theorem, criterion in criteria.items():
-        for variant in ("b", "c"):
-            rep = criterion(U, variant)
-            assert rep.verdict is definitional[theorem] is False
-            assert rep.failing() is not None
-            branches = [o.branch for o in rep.outcomes]
-            assert (len(branches), branches.count("none")) == (triples, refuting)
-            assert set(branches) == {"i", "none"}
-            digest = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
-            assert digest == A_MOD_YA_REPORT_DIGESTS[(p, theorem, variant)]
+        rep = criterion(U)
+        assert rep.verdict is definitional[theorem] is False
+        assert rep.failing() is not None
+        branches = [o.branch for o in rep.outcomes]
+        assert (len(branches), branches.count("none")) == (triples, refuting)
+        assert set(branches) == {"i", "none"}
+        digest = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+        assert digest == A_MOD_YA_REPORT_DIGESTS[(p, theorem)]
