@@ -1,11 +1,11 @@
 """Endomorphism rings of finite modules and the locality test.
 
 The ring is stored by an F_p-basis of End(M) (from the hom-space solver).
-With r basis elements, element e (0 <= e < p^r) has the base-p digits of e,
-least significant first, as its coordinates over that basis, and it is a
-unit exactly when its matrix is invertible.  The ring keeps one bool per
-element, built in chunks of CHUNK elements: each chunk's matrices come
-from one product with the basis and are tested by one batched elimination.
+Its elements run in the order of homs.span_stack, product(range(p),
+repeat=r) over that basis: element e (0 <= e < p^r) has the base-p digits
+of e, most significant first, as its coordinates, and it is a unit
+exactly when its matrix is invertible.  The ring keeps one bool per
+element, read off span_stack's chunks by one batched elimination each.
 
 is_local asks whether the non-units are closed under addition.  Over F_p a
 nonempty subset closed under addition holds 0 = p·a and -a = (p-1)·a, so
@@ -22,12 +22,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import TooLarge
-from .homs import DEFAULT_CAP_HOM, hom_space
-from .linalg import identity, invertible_mask, lin_comb, point_coords, rref_array, solve_row
+from .homs import DEFAULT_CAP_HOM, hom_from_coords, hom_space, span_stack
+from .linalg import identity, invertible_mask, point_coords, rref_array, solve_row
 from .modules import RepModule
 
-CHUNK = 1 << 14
+CHUNK = 1 << 14  # ring elements per is_local reduction
 
 
 @dataclass(frozen=True)
@@ -46,45 +45,35 @@ class EndRing:
         return product(range(self.p), repeat=len(self.basis))
 
     def matrix_of(self, coords) -> tuple:
-        n = self.module.dim
-        return lin_comb(coords, self.basis, n, n, self.p)
+        return hom_from_coords(self.module, self.module, self.basis, coords).matrix
 
     def is_unit(self, coords) -> bool:
-        p = self.p
-        return bool(self.unit_mask[sum(c % p * p**j for j, c in enumerate(coords))])
-
-
-def _chunks(size: int, r: int, p: int):
-    """(first index, coordinate rows) for consecutive runs of ring elements."""
-    for start in range(0, size, CHUNK):
-        yield start, point_coords(np.arange(start, min(start + CHUNK, size)), r, p)
+        index = 0
+        for c in coords:
+            index = index * self.p + c % self.p
+        return bool(self.unit_mask[index])
 
 
 def endomorphism_ring(M: RepModule, cap: int = DEFAULT_CAP_HOM) -> EndRing:
     """End(M) with its unit mask; TooLarge when p^dim exceeds the cap."""
-    p = M.field.p
-    n = M.dim
+    p, n = M.field.p, M.dim
     basis = hom_space(M, M)
-    r = len(basis)
-    size = p**r
-    if size > cap:
-        raise TooLarge("endomorphism ring size", size, cap)
+    mask = np.concatenate([invertible_mask(mats, p) for mats in span_stack(basis, n, n, p, cap)])
     flat = tuple(tuple(x for row in B for x in row) for B in basis)
-    flat_arr = np.array(flat, dtype=np.int64).reshape(r, n * n)
-    mask = np.concatenate([
-        invertible_mask((coords @ flat_arr % p).reshape(len(coords), n, n), p)
-        for _, coords in _chunks(size, r, p)
-    ])
     ident = solve_row(flat, tuple(x for row in identity(n) for x in row), p)
-    return EndRing(M, basis, ident, size, mask)
+    return EndRing(M, basis, ident, p ** len(basis), mask)
 
 
 def is_local(E: EndRing) -> bool:
     """Non-units closed under addition (one maximal right ideal)."""
-    p = E.p
+    p, r = E.p, len(E.basis)
     count = E.size - int(np.count_nonzero(E.unit_mask))
-    span = np.zeros((0, len(E.basis)), dtype=np.int64)
-    for start, coords in _chunks(E.size, len(E.basis), p):
+    span = np.zeros((0, r), dtype=np.int64)
+    for start in range(0, E.size, CHUNK):
+        # point_coords gives element e its digits least significant first,
+        # the reverse of its coordinates; reversing every row permutes the
+        # columns, which leaves the rank of their span as it is
+        coords = point_coords(np.arange(start, min(start + CHUNK, E.size)), r, p)
         nonunits = coords[~E.unit_mask[start : start + len(coords)]]
         span, _ = rref_array(np.concatenate([span, nonunits]), p)
     # the zero ring has no non-units, so they are closed vacuously

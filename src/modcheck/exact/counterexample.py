@@ -14,7 +14,7 @@ itself would not make sense on the Prüfer component.  Two cases:
 
 Both identities are checked exactly on the generator and on the sample
 drawn at SAMPLE_SEED, with equality in U/X decided by membership solving
-against X's generating set.  Divisions that would leave a localization
+against X's generator.  Divisions that would leave a localization
 surface as UNRESOLVED outcomes instead of silent guesses.
 """
 
@@ -38,23 +38,22 @@ from .ring import RElement, UElement, sample_relements, sample_uelements, SAMPLE
 
 @dataclass(frozen=True)
 class GeneratedSubmodule:
-    """X = Σ gᵢ·R ≤ U for a finite tuple of generators.
+    """X = g·R ≤ U for one generator g with a nonzero first component.
 
-    Membership is decided by a triangular solve.  Any generator with a
-    nonzero first component reaches every Prüfer class (the b'-entry of
-    the acting ring element sweeps ℚ), so the first component alone
-    decides membership through its p-valuation; pure Prüfer generators
-    reach exactly the classes of order dividing their own.
+    Membership is decided by a triangular solve.  Such a generator
+    reaches every Prüfer class (the b'-entry of the acting ring element
+    sweeps ℚ), so the first component alone decides membership through
+    its p-valuation.
     """
 
     p: int
     q: int
-    generators: tuple
+    generator: UElement
 
     def __post_init__(self):
-        for g in self.generators:
-            if (g.p, g.q) != (self.p, self.q):
-                raise ShapeMismatch("generator from a different module")
+        g = self.generator
+        if (g.p, g.q) != (self.p, self.q) or g.a.is_zero():
+            raise ShapeMismatch("X needs a generator of U with a nonzero first component")
 
     def contains(self, u: UElement) -> tuple:
         """(member: bool, detail: str).  Exact; never guesses.
@@ -65,45 +64,23 @@ class GeneratedSubmodule:
         """
         if u.is_zero():
             return True, "zero element"
-        a_gens = [g for g in self.generators if not g.a.is_zero()]
-        if not u.a.is_zero():
-            if not a_gens:
-                return False, "first component nonzero but all generators are Prüfer-only"
-            best = min(a_gens, key=lambda g: valuation(g.a.value, self.p))
+        g = self.generator
+        b = u.beta.representative() / g.a.value
+        if u.a.is_zero():
+            r, detail = RElement.of(self.p, self.q, 0, b, 0), f"u = g·(0, {b}, 0)"
+        else:
             try:
-                r_a = LocalizedRational(u.a.value, self.p).divide(best.a)
+                r_a = LocalizedRational(u.a.value, self.p).divide(g.a)
             except UnresolvedDivision:
                 return False, (
-                    f"v_{self.p}({u.a.value}) < v_{self.p}({best.a.value}): "
+                    f"v_{self.p}({u.a.value}) < v_{self.p}({g.a.value}): "
                     "first component outside the reachable ideal"
                 )
-            b = u.beta.representative() / best.a.value
-            witness = best.act(RElement.of(self.p, self.q, r_a.value, b, 0))
-            if witness != u:
-                raise CertificateFailed(f"membership witness failed for {u}")
-            return True, f"u = g·r with r_a = {r_a.value}, b' = {b}"
-        # Pure Prüfer element.
-        if a_gens:
-            g = a_gens[0]
-            b = u.beta.representative() / g.a.value
-            witness = g.act(RElement.of(self.p, self.q, 0, b, 0))
-            if witness != u:
-                raise CertificateFailed(f"membership witness failed for {u}")
-            return True, f"u = g·(0, {b}, 0)"
-        max_order = 0
-        carrier = None
-        for g in self.generators:
-            if g.beta.order() > max_order:
-                max_order = g.beta.order()
-                carrier = g
-        if carrier is None or u.beta.order() > max_order:
-            return False, f"class order {u.beta.order()} exceeds generator order {max_order}"
-        shift = carrier.beta.order() // u.beta.order()
-        c = u.beta.k * shift * pow(carrier.beta.k, -1, carrier.beta.order())
-        witness = carrier.act(RElement.of(self.p, self.q, 0, 0, c))
-        if witness != u:
+            r = RElement.of(self.p, self.q, r_a.value, b, 0)
+            detail = f"u = g·r with r_a = {r_a.value}, b' = {b}"
+        if g.act(r) != u:
             raise CertificateFailed(f"membership witness failed for {u}")
-        return True, f"u = g·(0, 0, {c})"
+        return True, detail
 
 
 def default_xs(p: int, q: int) -> tuple:
@@ -125,7 +102,7 @@ def default_x_submodule(p: int, q: int) -> GeneratedSubmodule:
     """The standing choice X = (p·ē)·R: nonzero, proper, and it absorbs
     every Prüfer class, so f(ē) = x·ē + X is well defined for any
     x ∈ ℤ_(p)."""
-    return GeneratedSubmodule(p, q, (UElement.of(p, q, p),))
+    return GeneratedSubmodule(p, q, UElement.of(p, q, p))
 
 
 def representing_r(u: UElement) -> RElement:

@@ -155,15 +155,15 @@ def _uelement(p: int, q: int, a: LocalizedRational, beta: PrueferElement) -> UEl
     return obj
 
 
-# The samples are pure in (p, q, seed, size) and hold frozen values, so a
+# The samples are pure in (p, q, seed) and hold frozen values, so a
 # small bounded memo shares them across every case that asks again.
 @lru_cache(maxsize=32)
-def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE_SIZE) -> tuple:
+def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED) -> tuple:
     """Deterministic R sample spanning a range of p- and q-valuations."""
     rng = random.Random(seed)
     units = (1, -1, 5, -5, 7, 11, -7)
     out = [RElement.one(p, q), RElement.zero(p, q)]
-    while len(out) < size:
+    while len(out) < SAMPLE_SIZE:
         ua, ub, uc = (rng.choice(units) for _ in range(3))
         a = Fraction(p ** rng.randint(0, 3) * ua)
         if rng.random() < 0.5:
@@ -173,19 +173,19 @@ def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE
         if rng.random() < 0.5:
             c /= p ** rng.randint(0, 2)
         out.append(RElement.of(p, q, a, b, c))
-    return tuple(out[:size])
+    return tuple(out)
 
 
 @lru_cache(maxsize=32)
-def sample_uelements(p: int, q: int, seed: int = SAMPLE_SEED, size: int = SAMPLE_SIZE) -> tuple:
+def sample_uelements(p: int, q: int, seed: int = SAMPLE_SEED) -> tuple:
     """Deterministic U sample spanning a range of p- and q-valuations."""
     rng = random.Random(seed + 1)
     units = (1, -1, 5, -5, 7, 11, -7)
     out = [UElement.generator(p, q), UElement.zero(p, q)]
-    while len(out) < size:
+    while len(out) < SAMPLE_SIZE:
         a = Fraction(p ** rng.randint(0, 3) * rng.choice(units))
         if rng.random() < 0.5:
             a /= q ** rng.randint(0, 2)
         beta = Fraction(rng.randint(0, q**3 - 1), q ** rng.randint(0, 3))
         out.append(UElement.of(p, q, a, beta))
-    return tuple(out[:size])
+    return tuple(out)

@@ -1,10 +1,11 @@
 """Hom-space computation and elementary operations on module maps.
 
 hom_space solves the commuting-matrix equations A_i H = H B_i exactly,
-returning a basis of the solution space; hom_stack yields every
-F_p-combination of that basis as int64 stacks for batched work (capped,
-since the count is p^dim), and enumerate_homs reads the same stacks one
-ModuleHom at a time.
+returning a basis of the solution space.  span_stack is the one walk
+over the F_p-span of such a basis and the one place a walk checks the
+hom cap (the count is p^dim): hom_stack, End(M)'s unit mask and the
+square criteria read their homs from it as int64 stacks, and
+enumerate_homs reads hom_stack one ModuleHom at a time.
 """
 
 from __future__ import annotations
@@ -71,31 +72,37 @@ def enumerate_homs(A, B, cap: int = DEFAULT_CAP_HOM):
 
 
 def hom_stack(A, B, cap: int | None = DEFAULT_CAP_HOM):
-    """Every hom A -> B as (N, dim A, dim B) int64 chunks, N <= POINT_CHUNK.
-
-    The homs' coordinates in the hom_space basis run through
-    product(range(p), repeat=d), the last coordinate fastest.  Raises
-    TooLarge when p^d exceeds cap, at the call, before any chunk is built;
-    cap None leaves the count unbounded.  When either end is zero the one
-    hom is the zero map.
-    """
+    """Every hom A -> B as (N, dim A, dim B) int64 chunks: span_stack over
+    the hom_space basis.  When either end is zero the one hom is the zero
+    map."""
     src = _as_rep(A)
     tgt = _as_rep(B)
-    p = src.field.p
-    basis = hom_space(A, B)
+    return span_stack(hom_space(A, B), src.dim, tgt.dim, src.field.p, cap)
+
+
+def span_stack(basis: tuple, rows: int, cols: int, p: int, cap: int | None):
+    """Every F_p-combination of a basis of rows x cols matrices, as
+    (N, rows, cols) int64 chunks, N <= POINT_CHUNK.
+
+    This is the one walk over a hom space.  The coordinates run through
+    product(range(p), repeat=d), the last coordinate fastest, so the k-th
+    matrix walked has the base-p digits of k, most significant first, as
+    its coordinates.  Raises TooLarge when p^d exceeds cap, at the call,
+    before any chunk is built; cap None leaves the count unbounded.
+    """
     count = p ** len(basis)
     if cap is not None and count > cap:
         raise TooLarge("hom enumeration", count, cap)
-    flat = np.array(basis, dtype=np.int64).reshape(len(basis), src.dim * tgt.dim)
-    return _hom_chunks(flat, count, src.dim, tgt.dim, p)
+    flat = np.array(basis, dtype=np.int64).reshape(len(basis), rows * cols)
+    return _span_chunks(flat, count, rows, cols, p)
 
 
-def _hom_chunks(flat: np.ndarray, count: int, na: int, nb: int, p: int):
+def _span_chunks(flat: np.ndarray, count: int, rows: int, cols: int, p: int):
     for start in range(0, count, POINT_CHUNK):
         # point_coords puts the least significant digit first, while
         # product() varies the last coordinate fastest
         coeffs = point_coords(np.arange(start, min(start + POINT_CHUNK, count)), len(flat), p)
-        yield (coeffs[:, ::-1] @ flat % p).reshape(len(coeffs), na, nb)
+        yield (coeffs[:, ::-1] @ flat % p).reshape(len(coeffs), rows, cols)
 
 
 def hom_from_coords(A, B, basis: tuple, coeffs) -> ModuleHom:

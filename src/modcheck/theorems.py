@@ -39,12 +39,11 @@ branch (ii) matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import NotHollowUniform, TooLarge
-from .homs import DEFAULT_CAP_HOM, hom_space
+from .errors import NotHollowUniform
+from .homs import DEFAULT_CAP_HOM, hom_from_coords, hom_space, hom_stack
 from .lattice import lattice_of
-from .linalg import lin_comb, mat_mul, solve_row
+from .linalg import mat_mul, solve_row
 from .modules import RepModule, quotient_module
 from .properties import hollow_scan, uniform_scan
 
@@ -98,33 +97,30 @@ def _flatten(M) -> tuple:
     return tuple(x for row in M for x in row)
 
 
-def _sweep(theorem: str, U: RepModule, cap_hom: int, system) -> TheoremReport:
+def _sweep(theorem: str, U: RepModule, system) -> TheoremReport:
     """Branch (i) over every canonical triple of one criterion.
 
-    ``system(member)`` returns the hom-space basis the triple's f ranges
-    over, the shape of f, and ``image``, the composite of an endomorphism
-    E with g (E·P for lifting, B_X·E for extending).  A triple holds when
-    Σ cᵢ·image(Eᵢ) = F has a solution c over the basis Eᵢ of End(U); the
-    witness is h = Σ cᵢ·Eᵢ.
+    ``system(member)`` returns the triple's f as hom_stack chunks (which
+    refuse past the hom cap) and ``image``, the composite of an
+    endomorphism E with g (E·P for lifting, B_X·E for extending).  A
+    triple holds when Σ cᵢ·image(Eᵢ) = F has a solution c over the basis
+    Eᵢ of End(U); the witness is h = Σ cᵢ·Eᵢ.
     """
     lat = lattice_of(U)
     if U.dim == 0 or not (hollow_scan(lat) and uniform_scan(lat)):
         raise NotHollowUniform("the component module must be hollow and uniform")
-    p, n = U.field.p, U.dim
+    p = U.field.p
     end_basis = hom_space(U, U)
     outcomes = []
     for member in lat.members:
-        fam, (rows, cols), image = system(member)
-        if p ** len(fam) > cap_hom:
-            raise TooLarge(f"{theorem} sweep", p ** len(fam), cap_hom)
+        fs, image = system(member)
         A = tuple(_flatten(image(E)) for E in end_basis)
-        for coeffs in product(range(p), repeat=len(fam)):
-            F = lin_comb(coeffs, fam, rows, cols, p)
+        for F in (tuple(map(tuple, m)) for chunk in fs for m in chunk.tolist()):
             sol = solve_row(A, _flatten(F), p)
             if sol is None:
                 outcomes.append(TripleOutcome(member.basis, F, "none", {}))
             else:
-                h = lin_comb(sol, end_basis, n, n, p)
+                h = hom_from_coords(U, U, end_basis, sol).matrix
                 outcomes.append(
                     TripleOutcome(member.basis, F, "i", {"h": [list(r) for r in h]})
                 )
@@ -141,13 +137,13 @@ def square_lifting_criterion(U: RepModule, cap_hom: int = DEFAULT_CAP_HOM) -> Th
     matrix P.  The branch (ii) of either variant adds nothing on a
     finite module.
     """
-    p, n = U.field.p, U.dim
+    p = U.field.p
 
     def system(K):
         Q, pi = quotient_module(U, K)
-        return hom_space(U, Q), (n, Q.dim), lambda E: mat_mul(E, pi.matrix, p)
+        return hom_stack(U, Q, cap_hom), lambda E: mat_mul(E, pi.matrix, p)
 
-    return _sweep("lifting", U, cap_hom, system)
+    return _sweep("lifting", U, system)
 
 
 def square_extending_criterion(U: RepModule, cap_hom: int = DEFAULT_CAP_HOM) -> TheoremReport:
@@ -158,10 +154,9 @@ def square_extending_criterion(U: RepModule, cap_hom: int = DEFAULT_CAP_HOM) -> 
     f = h∘g, the system B_X·E = F for X's basis B_X.  The branch (ii) of
     either variant adds nothing on a finite module.
     """
-    p, n = U.field.p, U.dim
+    p = U.field.p
 
     def system(X):
-        fam = hom_space(X.as_module(), U) if X.dim else ()
-        return fam, (X.dim, n), lambda E: mat_mul(X.basis, E, p)
+        return hom_stack(X, U, cap_hom), lambda E: mat_mul(X.basis, E, p)
 
-    return _sweep("extending", U, cap_hom, system)
+    return _sweep("extending", U, system)

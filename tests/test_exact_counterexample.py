@@ -13,7 +13,6 @@ from modcheck.errors import (
     ZeroInput,
 )
 from modcheck.exact.counterexample import (
-    GeneratedSubmodule,
     default_x_submodule,
     f_of,
     fiep_failure_report,
@@ -172,17 +171,6 @@ def test_membership_solver_on_the_standing_x():
     assert not ok and "outside the reachable ideal" in detail
     ok, _ = X.contains(UElement.zero(p, q))
     assert ok
-
-
-def test_membership_solver_on_pruefer_only_generators():
-    p, q = 2, 3
-    X = GeneratedSubmodule(p, q, (UElement.of(p, q, 0, Fraction(1, 3)),))
-    ok, _ = X.contains(UElement.of(p, q, 0, Fraction(2, 3)))
-    assert ok
-    ok, detail = X.contains(UElement.of(p, q, 0, Fraction(1, 9)))
-    assert not ok and "exceeds generator order" in detail
-    ok, detail = X.contains(UElement.of(p, q, 1))
-    assert not ok and "Prüfer-only" in detail
 
 
 def test_mult_endo_requires_both_localizations():

@@ -156,9 +156,10 @@ def test_unit_mask_matches_determinants_on_corpus_rings(fixtures):
             ring = endomorphism_ring(M, cap=6561)
         except TooLarge:
             continue
-        for c in ring.elements():
+        for k, c in enumerate(ring.elements()):
             unit = oracles.brute_is_invertible(ring.matrix_of(c), p)
             assert ring.is_unit(c) == unit, (fx.name, c)
+            assert ring.unit_mask[k] == unit, (fx.name, k)
         checked += ring.size
     assert checked > 11_000
 

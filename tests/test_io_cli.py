@@ -87,7 +87,7 @@ CLI_FLAGS = {
     "lattice": (("m.json",), ("--cap-dim", "--format", "--out")),
     "fiep": (("m.json",), ("--cap-dim", "--n-max", "--seed", "--out")),
     "summands": (("m.json",), ("--cap-dim", "--out")),
-    "homs": (("a.json", "b.json"), ("--cap-hom", "--out")),
+    "homs": (("a.json", "b.json"), ("--out",)),
     "exact": ((), ("--p", "--q", "--out")),
     "verify": ((), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--p", "--q", "--out")),
 }
@@ -107,7 +107,7 @@ def test_cli_subcommands_take_only_the_flags_they_honour(capsys, command):
     for flag in values.keys() - set(kept):
         assert main([command, *positionals, f"{flag}={values[flag]}"]) == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
-    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 27
+    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 26
 
 
 def test_cli_report_json_and_text(capsys):
@@ -133,11 +133,6 @@ def test_cli_lattice_json_and_dot(capsys):
 def test_cli_cap_exceeded_exits_3(capsys):
     code, _, err = run_cli(capsys, "lattice", fixture_path("tri4_f2"), "--cap-dim", "2")
     assert code == 3 and "error" in err
-    code, _, err = run_cli(
-        capsys, "homs", fixture_path("chain_f2_k2"), fixture_path("chain_f2_k2"),
-        "--cap-hom", "1",
-    )
-    assert code == 3
 
 
 @pytest.fixture
@@ -254,6 +249,9 @@ def test_cli_exact_single_x_and_zext(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [c.get("case") for c in doc["certificates"][:2]] == ["partial", "graph"]
+    # --x is read as a rational, so 8/6 certifies x = 4/3 with the same bytes
+    assert run_cli(capsys, "exact", "--x", "8/6") == (code, out, "")
+    assert {c["x"] for c in doc["certificates"][:2]} == {"4/3"}
 
     code, out, _ = run_cli(capsys, "exact", "zext", "--a", "2", "--b", "3")
     assert code == 0
@@ -273,6 +271,8 @@ def test_cli_exact_single_x_and_zext(capsys):
         (["exact", "--cap-dim=2"], "unrecognized arguments: --cap-dim=2"),
         (["exact", "--seed", "1"], "unrecognized arguments: --seed"),
         (["exact", "bogus"], "unknown exact mode 'bogus'"),
+        (["exact", "--x", "abc"], "argument --x: not a rational number: 'abc'"),
+        (["exact", "--x", "1/0"], "argument --x: not a rational number: '1/0'"),
     ],
 )
 def test_cli_exact_names_the_argument_it_rejects(capsys, argv, named):

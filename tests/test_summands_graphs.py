@@ -9,6 +9,7 @@ from helpers import rebased
 
 from modcheck import homs
 from modcheck.corpus import truncated_poly_algebra, truncated_poly_module
+from modcheck.endring import endomorphism_ring
 from modcheck.errors import (
     CardinalityVacuous,
     NotEpi,
@@ -21,6 +22,7 @@ from modcheck.homs import enumerate_homs, hom_space, hom_from_coords, hom_stack,
 from modcheck.linalg import lin_comb, rank
 from modcheck.modules import ModuleHom, direct_sum, make_submodule, zero_hom
 from modcheck.properties import lattice_of, radical
+from modcheck.theorems import square_extending_criterion, square_lifting_criterion
 from modcheck.summands import (
     Decomposition,
     all_decompositions,
@@ -238,6 +240,16 @@ def test_graph_law_sweep_refuses_like_enumerate_homs(fixtures_by_name):
     with pytest.raises(TooLarge) as swept:
         graph_law_sweep(ds, 80, radical(A))
     assert str(swept.value) == str(stacked.value) == str(enumerated.value)
+    assert str(stacked.value) == "hom enumeration: size 81 exceeds cap 80"
+    # End(M) and both square criteria walk their homs through the same cap
+    for walk in (
+        lambda: endomorphism_ring(A, cap=80),
+        lambda: square_lifting_criterion(A, cap_hom=80),
+        lambda: square_extending_criterion(A, cap_hom=80),
+    ):
+        with pytest.raises(TooLarge) as refused:
+            walk()
+        assert str(refused.value) == str(stacked.value)
     assert len(graph_law_sweep(ds, 81, radical(A))) == 2 * 81
 
 
