@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ModcheckError, SchemaError, TooLarge, UnresolvedDivision, ZeroInput
+from .field import _is_prime
 from .io import load_module
 from .homs import DEFAULT_CAP_HOM, hom_space
 from .lattice import DEFAULT_CAP_DIM, lattice_of
@@ -44,14 +45,35 @@ def _load(path: str):
     return module
 
 
+def _int_type(accepts, what: str):
+    """An argparse type: an int that ``accepts`` takes, or a usage error
+    saying the value is not ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or not accepts(n):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return n
+
+    return parse
+
+
+_prime = _int_type(_is_prime, "a prime")
+
 # the flags several subcommands share, declared once
 SHARED_FLAGS = {
     "--cap-dim": dict(type=int, default=DEFAULT_CAP_DIM, help="largest module dimension for lattice scans"),
     "--cap-hom": dict(type=int, default=DEFAULT_CAP_HOM, help="largest hom/endomorphism sweep size"),
-    "--n-max": dict(type=int, default=DEFAULT_N_MAX, help="largest decomposition width for exchange scans"),
+    "--n-max": dict(
+        type=_int_type(lambda n: n >= 1, "a positive integer"), default=DEFAULT_N_MAX,
+        help="largest decomposition width for exchange scans",
+    ),
     "--seed": dict(type=int, default=DEFAULT_SEED, help="seed for the documented deterministic subsamples"),
-    "--p": dict(type=int, default=DEFAULT_PQ[0], help="the prime p of the localization example"),
-    "--q": dict(type=int, default=DEFAULT_PQ[1], help="the prime q of the localization example"),
+    "--p": dict(type=_prime, default=DEFAULT_PQ[0], help="the prime p of the localization example"),
+    "--q": dict(type=_prime, default=DEFAULT_PQ[1], help="the prime q of the localization example, not p"),
     "--out": dict(help="also write the output to this file"),
 }
 # subcommand -> the shared flags it honours, and its --format choices (default first)
@@ -62,6 +84,7 @@ COMMAND_FLAGS = {
     "summands": (("--cap-dim", "--out"), None),
     "homs": (("--out",), None),
     "exact": (("--p", "--q", "--out"), None),
+    "zext": (("--out",), None),
     "verify": (("--cap-dim", "--cap-hom", "--n-max", "--seed", "--p", "--q", "--out"), None),
 }
 
@@ -150,18 +173,7 @@ def cmd_homs(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    from .exact import case_runners, default_xs, fiep_failure_report, z_extension_routes
-
-    if args.mode not in ("cases", "zext"):
-        raise SchemaError(f"unknown exact mode {args.mode!r}: choose 'cases' or 'zext'", path=[])
-    if args.mode == "zext":
-        if args.a is None or args.b is None:
-            raise SchemaError("zext mode needs --a and --b", path=[])
-        report = z_extension_routes(args.a, args.b)
-        doc = report.to_json()
-        doc["schema_version"] = 1
-        _emit(doc, args)
-        return EXIT_OK
+    from .exact import case_runners, default_xs, fiep_failure_report
 
     xs = args.x or [Fraction(x) for xs in default_xs(args.p, args.q) for x in xs]
     certificates = []
@@ -191,6 +203,15 @@ def cmd_exact(args) -> int:
     }
     _emit(doc, args)
     return EXIT_OK if doc["verdict"] == "pass" else EXIT_CHECK_FAILED
+
+
+def cmd_zext(args) -> int:
+    from .exact import z_extension_routes
+
+    doc = z_extension_routes(args.a, args.b).to_json()
+    doc["schema_version"] = 1
+    _emit(doc, args)
+    return EXIT_OK
 
 
 def _regen_golden() -> int:
@@ -279,13 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = _command(
         sub, "exact", cmd_exact, "exact-arithmetic verification of the localization example"
     )
-    p_exact.add_argument(
-        "mode", nargs="?", default="cases",
-        help="'cases' verifies the endomorphism example, 'zext' the integer routes",
-    )
     p_exact.add_argument("--x", action="append", type=_rational, help="rational test value, repeatable")
-    p_exact.add_argument("--a", type=int, help="zext: source multiplier")
-    p_exact.add_argument("--b", type=int, help="zext: image multiplier")
+
+    p_zext = _command(sub, "zext", cmd_zext, "extension routes of a·n ↦ b·n along aℤ ⊆ ℤ")
+    p_zext.add_argument("--a", type=int, required=True, help="source multiplier")
+    p_zext.add_argument("--b", type=int, required=True, help="image multiplier")
 
     p_verify = _command(sub, "verify", cmd_verify, "run the full verification manifest")
     p_verify.add_argument("--only", action="append", choices=RUN_ORDER, help="restrict to one claim anchor, repeatable")
@@ -302,6 +321,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = parser.parse_args(_with_config_file(parser, argv, args))
+        if getattr(args, "p", None) is not None and args.p == args.q:
+            parser.error(f"--p and --q must be distinct primes, both are {args.p}")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

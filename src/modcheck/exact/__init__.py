@@ -25,7 +25,6 @@ from .endos import (
 )
 from .pruefer import PrueferElement
 from .rationals import (
-    LocalizedRational,
     as_fraction,
     decompose_x,
     in_localization,
@@ -46,7 +45,6 @@ __all__ = [
     "CaseReport",
     "FiepFailureReport",
     "GeneratedSubmodule",
-    "LocalizedRational",
     "MultEndo",
     "PartialHom",
     "PrueferElement",

@@ -32,7 +32,7 @@ from ..errors import (
     WrongBranch,
 )
 from .endos import PartialHom, certified_witness, mult_endo
-from .rationals import LocalizedRational, as_fraction, decompose_x, valuation
+from .rationals import as_fraction, decompose_x, divide, valuation
 from .ring import RElement, UElement, sample_relements, sample_uelements, SAMPLE_SEED
 
 
@@ -52,7 +52,7 @@ class GeneratedSubmodule:
 
     def __post_init__(self):
         g = self.generator
-        if (g.p, g.q) != (self.p, self.q) or g.a.is_zero():
+        if (g.p, g.q) != (self.p, self.q) or g.a == 0:
             raise ShapeMismatch("X needs a generator of U with a nonzero first component")
 
     def contains(self, u: UElement) -> tuple:
@@ -65,19 +65,19 @@ class GeneratedSubmodule:
         if u.is_zero():
             return True, "zero element"
         g = self.generator
-        b = u.beta.representative() / g.a.value
-        if u.a.is_zero():
-            r, detail = RElement.of(self.p, self.q, 0, b, 0), f"u = g·(0, {b}, 0)"
+        b = u.beta.representative() / g.a
+        if u.a == 0:
+            r, detail = RElement(self.p, self.q, 0, b, 0), f"u = g·(0, {b}, 0)"
         else:
             try:
-                r_a = LocalizedRational(u.a.value, self.p).divide(g.a)
+                r_a = divide(u.a, g.a, self.p)
             except UnresolvedDivision:
                 return False, (
-                    f"v_{self.p}({u.a.value}) < v_{self.p}({g.a.value}): "
+                    f"v_{self.p}({u.a}) < v_{self.p}({g.a}): "
                     "first component outside the reachable ideal"
                 )
-            r = RElement.of(self.p, self.q, r_a.value, b, 0)
-            detail = f"u = g·r with r_a = {r_a.value}, b' = {b}"
+            r = RElement(self.p, self.q, r_a, b, 0)
+            detail = f"u = g·r with r_a = {r_a}, b' = {b}"
         if g.act(r) != u:
             raise CertificateFailed(f"membership witness failed for {u}")
         return True, detail
@@ -107,7 +107,7 @@ def default_x_submodule(p: int, q: int) -> GeneratedSubmodule:
 
 def representing_r(u: UElement) -> RElement:
     """r_u with ē·r_u = u: the canonical (u_a, rep(β), 0)."""
-    return RElement.of(u.p, u.q, u.a.value, u.beta.representative(), 0)
+    return RElement(u.p, u.q, u.a, u.beta.representative(), 0)
 
 
 def f_of(x: Fraction, u: UElement) -> UElement:
@@ -153,7 +153,7 @@ def _check_f_well_defined(x: Fraction, X: GeneratedSubmodule, checks: list) -> N
     x_gen = UElement.of(p, q, x)
     ok = True
     details = []
-    for ann in (RElement.of(p, q, 0, 1, 0), RElement.of(p, q, 0, 0, 1)):
+    for ann in (RElement(p, q, 0, 1, 0), RElement(p, q, 0, 0, 1)):
         member, detail = X.contains(x_gen.act(ann))
         ok = ok and member
         details.append(detail)
@@ -220,7 +220,7 @@ def verify_partial_case(x, p: int, q: int) -> CaseReport:
     # Surjectivity: ē has an explicit preimage, as do all sampled targets.
     try:
         r = h.preimage_of(UElement.generator(p, q))
-        checks.append(("h_epi_generator", True, f"h(p^{m}·ē·r) = ē with r_a = {r.a.value}"))
+        checks.append(("h_epi_generator", True, f"h(p^{m}·ē·r) = ē with r_a = {r.a}"))
     except UnresolvedDivision as e:
         unresolved.append(e.equation)
     missed = 0

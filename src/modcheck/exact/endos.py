@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import CertificateFailed, NotWellDefined, ShapeMismatch
-from .rationals import LocalizedRational, as_fraction, valuation, xgcd
+from .rationals import as_fraction, divide, valuation, xgcd
 from .ring import RElement, UElement, sample_relements, sample_uelements
 
 
@@ -98,7 +98,7 @@ class UnitCertificate:
             "v_q": self.vq,
             "missed_element": None
             if self.missed_element is None
-            else str(self.missed_element.a.value),
+            else str(self.missed_element.a),
             "kernel_element": None
             if self.kernel_element is None
             else f"{self.kernel_element.beta.k}/{self.kernel_element.beta.q}^{self.kernel_element.beta.n}",
@@ -198,8 +198,8 @@ class PartialHom:
     def annihilator_generators(self) -> tuple:
         p, q = self.p, self.q
         return (
-            RElement.of(p, q, 0, Fraction(1, self.p**self.m), 0),
-            RElement.of(p, q, 0, 0, 1),
+            RElement(p, q, 0, Fraction(1, self.p**self.m), 0),
+            RElement(p, q, 0, 0, 1),
         )
 
     def source_generator(self) -> UElement:
@@ -216,9 +216,9 @@ class PartialHom:
         acting ring element sweeps the whole Prüfer component, so only the
         p-valuation constrains membership.
         """
-        if u.a.is_zero():
+        if u.a == 0:
             return True
-        return valuation(u.a.value, self.p) >= self.m
+        return valuation(u.a, self.p) >= self.m
 
     def preimage_of(self, target: UElement) -> RElement:
         """Some r with h(p^m·ē·r) = target.
@@ -229,10 +229,10 @@ class PartialHom:
         to hit the Prüfer part exactly.
         """
         img = self.image_of_generator
-        r_a = LocalizedRational(target.a.value, self.p).divide(img.a)
-        want = target.beta - img.beta.scale(r_a.value)
-        b = want.representative() / img.a.value
-        r = RElement.of(self.p, self.q, r_a.value, b, 0)
+        r_a = divide(target.a, img.a, self.p)
+        want = target.beta - img.beta.scale(r_a)
+        b = want.representative() / img.a
+        r = RElement(self.p, self.q, r_a, b, 0)
         if self.apply_to_multiple(r) != target:
             raise CertificateFailed(f"preimage solve failed for {target}")
         return r

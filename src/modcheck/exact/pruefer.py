@@ -5,7 +5,9 @@ and q ∤ k unless k = 0 (in which case n = 0).  Addition, negation, and
 multiplication by elements of ℤ_(q) work on the stored integers k mod q^n
 and cancel factors of q, so equality is plain field-by-field comparison.
 Those results come out of ``_reduced`` canonical by construction and skip
-the constructor's check; the public constructor still validates.
+the constructor's check; the public constructor still validates.  A
+scalar of ℤ_(q) is a plain Fraction or int, and ``scale`` refuses one
+with a q-denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ShapeMismatch
-from .rationals import LocalizedRational, as_fraction
+from .rationals import as_fraction
 
 
 def _reduced(q: int, n: int, k: int) -> "PrueferElement":
@@ -89,10 +91,6 @@ class PrueferElement:
 
     def scale(self, c) -> "PrueferElement":
         """Multiply by c ∈ ℤ_(q); well defined since c has no q-denominator."""
-        if isinstance(c, LocalizedRational):
-            if c.prime != self.q:
-                raise ShapeMismatch("scalar localized at the wrong prime")
-            c = c.value
         c = as_fraction(c)
         if self.is_zero():
             return self

@@ -4,17 +4,13 @@ Values are fractions.Fraction: valuations, extended gcd, membership in the
 localization ℤ_(p) (denominator coprime to p), and the decomposition
 x = p^m · q^(−n) · t/s used by the partial lifting construction.
 
-Membership in ℤ_(p) is validated where a rational enters: the public
-LocalizedRational constructor, every operation with a raw rational
-operand (``a * Fraction``), and ``divide``, whose quotient can leave the
-ring.  ℤ_(p) is closed under +, − and ×, so sums, differences, products
-and negatives of two LocalizedRationals at the same prime skip that check
-through ``_localized``; mixing primes still raises ShapeMismatch.
+An element of ℤ_(p) is a plain Fraction.  Its membership is checked
+once, by the RElement or UElement that holds it (through ``_checked``),
+and by ``divide``, whose quotient can leave the ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -73,79 +69,29 @@ def in_localization(x, prime: int) -> bool:
     return as_fraction(x).denominator % prime != 0
 
 
-@dataclass(frozen=True)
-class LocalizedRational:
-    """A rational constrained to ℤ_(prime)."""
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        if self.value.denominator % self.prime == 0:
-            raise ShapeMismatch(
-                f"{self.value} is not in Z_({self.prime}): denominator divisible by {self.prime}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, LocalizedRational):
-            return _localized(self.value + self._same_prime(other), self.prime)
-        return LocalizedRational(self.value + as_fraction(other), self.prime)
-
-    def __sub__(self, other):
-        if isinstance(other, LocalizedRational):
-            return _localized(self.value - self._same_prime(other), self.prime)
-        return LocalizedRational(self.value - as_fraction(other), self.prime)
-
-    def __neg__(self):
-        return _localized(-self.value, self.prime)
-
-    def __mul__(self, other):
-        if isinstance(other, LocalizedRational):
-            return _localized(self.value * self._same_prime(other), self.prime)
-        return LocalizedRational(self.value * as_fraction(other), self.prime)
-
-    def _same_prime(self, other: "LocalizedRational") -> Fraction:
-        if other.prime != self.prime:
-            raise ShapeMismatch("localizations at different primes")
-        return other.value
-
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, LocalizedRational):
-            return self._same_prime(other)
-        return as_fraction(other)
-
-    def divide(self, other) -> "LocalizedRational":
-        """Exact division inside ℤ_(prime).
-
-        Raises UnresolvedDivision when the quotient leaves the ring, i.e.
-        when the divisor's extra power of the prime cannot be cancelled.
-        """
-        d = self._coerce(other)
-        if d == 0:
-            raise UnresolvedDivision(f"{self.value} / 0 in Z_({self.prime})")
-        quotient = self.value / d
-        if quotient.denominator % self.prime == 0:
-            raise UnresolvedDivision(
-                f"{self.value} / {d} = {quotient} leaves Z_({self.prime})"
-            )
-        return LocalizedRational(quotient, self.prime)
-
-    def is_unit(self) -> bool:
-        return self.value != 0 and valuation(self.value, self.prime) == 0
-
-    def is_zero(self) -> bool:
-        return self.value == 0
+def _checked(x, prime: int) -> Fraction:
+    """x as a Fraction, checked to lie in ℤ_(prime): the membership check
+    that RElement and UElement run on every component they are built with."""
+    if not isinstance(x, Fraction):
+        x = as_fraction(x)
+    if x.denominator % prime == 0:
+        raise ShapeMismatch(f"{x} is not in Z_({prime}): denominator divisible by {prime}")
+    return x
 
 
-def _localized(value: Fraction, prime: int) -> LocalizedRational:
-    """A LocalizedRational built without __post_init__, for a value already
-    known to be a Fraction in ℤ_(prime): the ring's own +, − and ×."""
-    obj = object.__new__(LocalizedRational)
-    fields = obj.__dict__
-    fields["value"] = value
-    fields["prime"] = prime
-    return obj
+def divide(a, d, prime: int) -> Fraction:
+    """Exact division a / d of ℤ_(prime) elements, inside ℤ_(prime).
+
+    Raises UnresolvedDivision when the quotient leaves the ring, i.e.
+    when the divisor's extra power of the prime cannot be cancelled.
+    """
+    a, d = as_fraction(a), as_fraction(d)
+    if d == 0:
+        raise UnresolvedDivision(f"{a} / 0 in Z_({prime})")
+    quotient = a / d
+    if quotient.denominator % prime == 0:
+        raise UnresolvedDivision(f"{a} / {d} = {quotient} leaves Z_({prime})")
+    return quotient
 
 
 def decompose_x(x, p: int, q: int) -> tuple:

@@ -9,6 +9,10 @@ class of its (1,2) entry in ℚ/ℤ_(q), so U elements are pairs
     (a, β) · (a', b', c') = (a·a', [a·b'] + β·c').
 
 The generator ē = (1, 0) is the coset of the matrix unit e₁₁; U = ē·R.
+
+The ℤ_(p) and ℤ_(q) entries are plain Fractions.  The RElement and
+UElement constructors coerce them and check their membership, and every
+operation builds its result through those constructors.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import ShapeMismatch
+from ..errors import NonPrime, ShapeMismatch
+from ..field import _is_prime
 from .pruefer import PrueferElement
-from .rationals import LocalizedRational, as_fraction
+from .rationals import _checked, as_fraction
 
 SAMPLE_SEED = 20240
 SAMPLE_SIZE = 32
@@ -28,33 +33,26 @@ SAMPLE_SIZE = 32
 
 @dataclass(frozen=True)
 class RElement:
-    """(a, b, c) with a ∈ ℤ_(p), b ∈ ℚ, c ∈ ℤ_(q)."""
+    """(a, b, c) with a ∈ ℤ_(p), b ∈ ℚ, c ∈ ℤ_(q), all Fractions."""
 
     p: int
     q: int
-    a: LocalizedRational
+    a: Fraction
     b: Fraction
-    c: LocalizedRational
+    c: Fraction
 
     def __post_init__(self):
-        if self.a.prime != self.p or self.c.prime != self.q:
-            raise ShapeMismatch("components localized at the wrong primes")
+        object.__setattr__(self, "a", _checked(self.a, self.p))
         object.__setattr__(self, "b", as_fraction(self.b))
-
-    @classmethod
-    def of(cls, p: int, q: int, a, b, c) -> "RElement":
-        return cls(
-            p, q, LocalizedRational(as_fraction(a), p), as_fraction(b),
-            LocalizedRational(as_fraction(c), q),
-        )
+        object.__setattr__(self, "c", _checked(self.c, self.q))
 
     @classmethod
     def one(cls, p: int, q: int) -> "RElement":
-        return cls.of(p, q, 1, 0, 1)
+        return cls(p, q, 1, 0, 1)
 
     @classmethod
     def zero(cls, p: int, q: int) -> "RElement":
-        return cls.of(p, q, 0, 0, 0)
+        return cls(p, q, 0, 0, 0)
 
     def __add__(self, other: "RElement") -> "RElement":
         self._check(other)
@@ -67,7 +65,7 @@ class RElement:
             self.p,
             self.q,
             self.a * other.a,
-            self.a.value * other.b + self.b * other.c.value,
+            self.a * other.b + self.b * other.c,
             self.c * other.c,
         )
 
@@ -81,23 +79,22 @@ class RElement:
 
 @dataclass(frozen=True)
 class UElement:
-    """A coset in U = R/L: (a, β) ∈ ℤ_(p) × ℚ/ℤ_(q)."""
+    """A coset in U = R/L: (a, β) with a ∈ ℤ_(p) a Fraction, β ∈ ℚ/ℤ_(q)."""
 
     p: int
     q: int
-    a: LocalizedRational
+    a: Fraction
     beta: PrueferElement
 
     def __post_init__(self):
-        if self.a.prime != self.p or self.beta.q != self.q:
+        object.__setattr__(self, "a", _checked(self.a, self.p))
+        if self.beta.q != self.q:
             raise ShapeMismatch("components localized at the wrong primes")
 
     @classmethod
     def of(cls, p: int, q: int, a, beta_rational=0) -> "UElement":
-        return cls(
-            p, q, LocalizedRational(as_fraction(a), p),
-            PrueferElement.from_rational(q, beta_rational),
-        )
+        """(a, [β]): the class of the rational β in ℚ/ℤ_(q)."""
+        return cls(p, q, a, PrueferElement.from_rational(q, beta_rational))
 
     @classmethod
     def generator(cls, p: int, q: int) -> "UElement":
@@ -109,50 +106,45 @@ class UElement:
         return cls.of(p, q, 0, 0)
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.beta.is_zero()
+        return self.a == 0 and self.beta.is_zero()
 
     def __add__(self, other: "UElement") -> "UElement":
         self._check(other)
-        return _uelement(self.p, self.q, self.a + other.a, self.beta + other.beta)
+        return UElement(self.p, self.q, self.a + other.a, self.beta + other.beta)
 
     def __sub__(self, other: "UElement") -> "UElement":
         self._check(other)
-        return _uelement(self.p, self.q, self.a - other.a, self.beta - other.beta)
+        return UElement(self.p, self.q, self.a - other.a, self.beta - other.beta)
 
     def __neg__(self) -> "UElement":
-        return _uelement(self.p, self.q, -self.a, -self.beta)
+        return UElement(self.p, self.q, -self.a, -self.beta)
 
     def scale(self, f) -> "UElement":
         """f·(a, β) = (f·a, [f·β]); ShapeMismatch when f·a leaves ℤ_(p) or
-        f carries a q-denominator onto a nonzero β."""
-        return _uelement(self.p, self.q, self.a * f, self.beta.scale(f))
+        f carries a q-denominator onto a nonzero β, in that order."""
+        a = _checked(self.a * f, self.p)
+        return UElement(self.p, self.q, a, self.beta.scale(f))
 
     def act(self, r: RElement) -> "UElement":
         """Right action (a, β)·(a', b', c') = (a·a', [a·b'] + β·c')."""
         if (self.p, self.q) != (r.p, r.q):
             raise ShapeMismatch("acting by an element of a different ring")
-        new_a = self.a * r.a
-        carried = PrueferElement.from_rational(self.q, self.a.value * r.b)
-        return _uelement(self.p, self.q, new_a, carried + self.beta.scale(r.c))
+        carried = PrueferElement.from_rational(self.q, self.a * r.b)
+        return UElement(self.p, self.q, self.a * r.a, carried + self.beta.scale(r.c))
 
     def _check(self, other):
         if (self.p, self.q) != (other.p, other.q):
             raise ShapeMismatch("module elements over different prime pairs")
 
 
-def _uelement(p: int, q: int, a: LocalizedRational, beta: PrueferElement) -> UElement:
-    """A UElement built without __post_init__, for the results of UElement
-    operations: their components come from the ℤ_(p) and ℚ/ℤ_(q)
-    operations of elements already checked to share (p, q), so they sit
-    at the right primes by construction.  A raw rational operand (as in
-    ``scale``) is validated by those component operations."""
-    obj = object.__new__(UElement)
-    fields = obj.__dict__
-    fields["p"] = p
-    fields["q"] = q
-    fields["a"] = a
-    fields["beta"] = beta
-    return obj
+def _check_pair(p: int, q: int) -> None:
+    """Refuse a pair (p, q) that is not two distinct primes: the example,
+    and every sample drawn for it, needs both localizations at primes."""
+    for n in (p, q):
+        if not _is_prime(n):
+            raise NonPrime(f"{n} is not a prime")
+    if p == q:
+        raise ShapeMismatch(f"p = q = {p}: the example needs two distinct primes")
 
 
 # The samples are pure in (p, q, seed) and hold frozen values, so a
@@ -160,6 +152,7 @@ def _uelement(p: int, q: int, a: LocalizedRational, beta: PrueferElement) -> UEl
 @lru_cache(maxsize=32)
 def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED) -> tuple:
     """Deterministic R sample spanning a range of p- and q-valuations."""
+    _check_pair(p, q)
     rng = random.Random(seed)
     units = (1, -1, 5, -5, 7, 11, -7)
     out = [RElement.one(p, q), RElement.zero(p, q)]
@@ -172,13 +165,14 @@ def sample_relements(p: int, q: int, seed: int = SAMPLE_SEED) -> tuple:
         c = Fraction(q ** rng.randint(0, 3) * uc)
         if rng.random() < 0.5:
             c /= p ** rng.randint(0, 2)
-        out.append(RElement.of(p, q, a, b, c))
+        out.append(RElement(p, q, a, b, c))
     return tuple(out)
 
 
 @lru_cache(maxsize=32)
 def sample_uelements(p: int, q: int, seed: int = SAMPLE_SEED) -> tuple:
     """Deterministic U sample spanning a range of p- and q-valuations."""
+    _check_pair(p, q)
     rng = random.Random(seed + 1)
     units = (1, -1, 5, -5, 7, 11, -7)
     out = [UElement.generator(p, q), UElement.zero(p, q)]

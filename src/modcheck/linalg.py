@@ -184,18 +184,8 @@ def invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def reduce_against(v: Vec, basis: Mat, pivots, p: int) -> Vec:
-    """Residual of v after elimination against an rref basis."""
-    w = list(x % p for x in v)
-    for row, c in zip(basis, pivots):
-        if w[c]:
-            f = w[c]
-            w = [(x - f * y) % p for x, y in zip(w, row)]
-    return tuple(w)
-
-
 def in_span(v: Vec, basis: Mat, pivots, p: int) -> bool:
-    return not any(reduce_against(v, basis, pivots, p))
+    return express(v, basis, pivots, p) is not None
 
 
 def express(v: Vec, basis: Mat, pivots, p: int):

@@ -264,8 +264,10 @@ def fiep_scan(
     listed in product order with their running sums; the first one with
     F[J, M_n] defined, completed by F[J, M_n], is the first qualifying
     tuple, because product order compares the prefix before the last
-    part.
+    part.  An n_max below 1 would check no pair at all, so it raises.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     families = []
     sampled = False
     for n in range(1, n_max + 1):

@@ -424,8 +424,6 @@ CLAIMS = {
 }
 
 RUN_ORDER = tuple(CLAIMS)
-# check-id prefixes owned by each anchor
-ANCHOR_CHECKS = {anchor: (anchor + "/",) for anchor in CLAIMS}
 
 
 def verify_claims(config: VerifyConfig | None = None) -> Manifest:

@@ -38,7 +38,7 @@ from modcheck.exact import (
     z_extension_routes,
 )
 from modcheck.oracles import BRUTE_HOM_CAP, brute_hom_matrices
-from modcheck.verify import ANCHOR_CHECKS, EXAMPLE_SUBMODULE_BASES
+from modcheck.verify import CLAIMS, EXAMPLE_SUBMODULE_BASES
 
 
 def report(num, label, ok, t0, bound, detail=""):
@@ -237,12 +237,10 @@ def test_criterion_10_verify_run():
     ok = manifest.passed
 
     ids = [c.check_id for c in manifest.checks]
-    for anchor, prefixes in ANCHOR_CHECKS.items():
-        ok = ok and any(i.startswith(prefixes) for i in ids)
+    for anchor in CLAIMS:
+        ok = ok and any(i.startswith(anchor + "/") for i in ids)
     for i in ids:
-        ok = ok and any(
-            i.startswith(prefixes) for prefixes in ANCHOR_CHECKS.values()
-        )
+        ok = ok and any(i.startswith(anchor + "/") for anchor in CLAIMS)
 
     def stripped(m):
         doc = m.to_json()

@@ -1,4 +1,4 @@
-"""Exact layer: localized rationals, Prüfer components, and the ring R."""
+"""Exact layer: ℤ_(p) entries as Fractions, Prüfer components, and the ring R."""
 
 from fractions import Fraction
 
@@ -17,9 +17,9 @@ from modcheck.exact import rationals as rationals_module
 from modcheck.exact.counterexample import representing_r
 from modcheck.exact.pruefer import PrueferElement
 from modcheck.exact.rationals import (
-    LocalizedRational,
     as_fraction,
     decompose_x,
+    divide,
     in_localization,
     valuation,
     xgcd,
@@ -66,37 +66,26 @@ def test_in_localization():
     assert in_localization(Fraction(0), 7)
 
 
-@given(rationals, rationals)
-@settings(max_examples=150, deadline=None)
-def test_localized_arithmetic_mirrors_fractions(x, y):
-    p = 3
-    if not (in_localization(x, p) and in_localization(y, p)):
-        return
-    a = LocalizedRational(x, p)
-    b = LocalizedRational(y, p)
-    assert (a + b).value == x + y
-    assert (a - b).value == x - y
-    assert (a * b).value == x * y
-    assert (-a).value == -x
-
-
 def test_localized_division_certifies_or_refuses():
-    a = LocalizedRational(Fraction(1), 2)
-    two = LocalizedRational(Fraction(2), 2)
-    with pytest.raises(UnresolvedDivision):
-        a.divide(two)  # 1/2 leaves Z_(2)
-    five = LocalizedRational(Fraction(5), 2)
-    assert a.divide(five).value == Fraction(1, 5)
-    assert five.is_unit() and not two.is_unit()
-    with pytest.raises(UnresolvedDivision):
-        a.divide(LocalizedRational(Fraction(0), 2))
+    with pytest.raises(UnresolvedDivision, match=r"^unresolved: 1 / 2 = 1/2 leaves Z_\(2\)$"):
+        divide(Fraction(1), Fraction(2), 2)  # 1/2 leaves Z_(2)
+    with pytest.raises(UnresolvedDivision, match=r"^unresolved: 1 / 0 in Z_\(2\)$"):
+        divide(Fraction(1), Fraction(0), 2)
+    assert divide(Fraction(1), Fraction(5), 2) == Fraction(1, 5)
+    assert type(divide(1, 5, 2)) is Fraction
 
 
 def test_localized_rational_rejects_foreign_denominators():
-    with pytest.raises(ShapeMismatch):
-        LocalizedRational(Fraction(1, 2), 2)
-    with pytest.raises(ShapeMismatch):
-        LocalizedRational(Fraction(1, 3), 2) + LocalizedRational(Fraction(1, 2), 3)
+    for build in (
+        lambda: RElement(2, 3, Fraction(1, 2), 0, 1),
+        lambda: RElement(2, 3, 1, 0, Fraction(1, 3)),
+        lambda: UElement.of(2, 3, Fraction(1, 2)),
+    ):
+        with pytest.raises(ShapeMismatch, match="denominator divisible by"):
+            build()
+    # ints are coerced: every component is stored as a Fraction
+    r = RElement(2, 3, 1, 0, 1)
+    assert all(type(x) is Fraction for x in (r.a, r.b, r.c, UElement.of(2, 3, 1).a))
 
 
 @given(nonzero_rationals)
@@ -225,7 +214,6 @@ def test_pruefer_scale_matches_fractions(data, args):
     c = data.draw(q_units(q))
     a = PrueferElement.from_rational(q, x)
     assert a.scale(c) == PrueferElement.from_rational(q, x * c)
-    assert a.scale(LocalizedRational(c, q)) == a.scale(c)
 
 
 @given(primes_q)
@@ -266,9 +254,11 @@ def test_uelement_scale_refuses_leaving_the_localizations():
     assert UElement.of(2, 3, 0).scale(Fraction(1, 3)).is_zero()
 
 
-# The ring operations build their results without re-running the
-# validating constructors; every such result must equal its rebuild through
-# those constructors, and a raw rational operand must still be checked.
+# The Prüfer operations build their results through ``_reduced``, past the
+# validating constructor, and the ring operations through the RElement and
+# UElement constructors.  Every such result must equal its rebuild through
+# the public constructors, with every ℤ_(p) and ℤ_(q) component a Fraction,
+# and a raw rational operand must still be checked.
 
 prime_pairs = st.sampled_from(((2, 3), (3, 2), (2, 5), (5, 3)))
 
@@ -294,11 +284,16 @@ def pruefer_rationals(q):
 
 def revalidated(e):
     """e rebuilt through the public, validating constructors."""
-    if isinstance(e, LocalizedRational):
-        return LocalizedRational(e.value, e.prime)
     if isinstance(e, PrueferElement):
         return PrueferElement(e.q, e.n, e.k)
-    return UElement(e.p, e.q, revalidated(e.a), revalidated(e.beta))
+    if isinstance(e, RElement):
+        return RElement(e.p, e.q, e.a, e.b, e.c)
+    return UElement(e.p, e.q, e.a, revalidated(e.beta))
+
+
+def localized_components(e):
+    """The ℤ_(p) and ℤ_(q) components of a ring or module element."""
+    return (e.a, e.c) if isinstance(e, RElement) else (e.a,)
 
 
 @seed(20240)
@@ -306,28 +301,28 @@ def revalidated(e):
 @settings(max_examples=300, deadline=None)
 def test_closed_operations_equal_their_validated_rebuilds(data, pq):
     p, q = pq
-    a, b = (LocalizedRational(data.draw(localized_at(p)), p) for _ in range(2))
-    c = LocalizedRational(data.draw(localized_at(q)), q)
+    a, b = (data.draw(localized_at(p)) for _ in range(2))
+    c, d = (data.draw(localized_at(q)) for _ in range(2))
     beta, gamma = (
         PrueferElement.from_rational(q, data.draw(pruefer_rationals(q))) for _ in range(2)
     )
     u = UElement(p, q, a, beta)
     v = UElement(p, q, b, gamma)
     r = RElement(p, q, b, data.draw(pruefer_rationals(q)), c)
+    s = RElement(p, q, a, data.draw(pruefer_rationals(q)), d)
     # f ∈ ℤ_(p) ∩ ℤ_(q), so u·f is defined on both components
     f = Fraction(
         data.draw(st.integers(-(p**4), p**4)), data.draw(st.sampled_from((1, 7, 11, 77)))
     )
-    results = (
-        a + b, a - b, a * b, -a,
-        beta + gamma, beta - gamma, -beta, beta.scale(c), beta.scale(c.value),
+    pruefer_results = (
+        beta + gamma, beta - gamma, -beta, beta.scale(c),
         PrueferElement.from_rational(q, data.draw(pruefer_rationals(q))),
-        u + v, u - v, -u, u.act(r), u.scale(f),
     )
-    for e in results:
+    ring_results = (u + v, u - v, -u, u.act(r), u.scale(f), r + s, r * s, -r)
+    for e in pruefer_results + ring_results:
         assert e == revalidated(e)
-    for e in results[:4]:
-        assert type(e.value) is Fraction
+    for e in ring_results:
+        assert all(type(x) is Fraction for x in localized_components(e))
 
 
 @seed(20241)
@@ -335,24 +330,36 @@ def test_closed_operations_equal_their_validated_rebuilds(data, pq):
 @settings(max_examples=200, deadline=None)
 def test_raw_rational_operands_are_still_validated(data, pq):
     p, q = pq
-    a = LocalizedRational(data.draw(localized_at(p)), p)
-    if in_localization(a.value / p, p):
-        assert a * Fraction(1, p) == LocalizedRational(a.value / p, p)
-    else:
-        with pytest.raises(ShapeMismatch):
-            a * Fraction(1, p)
+    a = data.draw(localized_at(p))
     beta = data.draw(pruefer_rationals(q))
-    u = UElement.of(p, q, a.value, beta)
-    if u.beta.is_zero():
-        assert u.scale(Fraction(1, q)) == UElement.of(p, q, a.value / q)
+    u = UElement.of(p, q, a, beta)
+    if in_localization(a / p, p):
+        assert u.scale(Fraction(1, p)) == UElement.of(p, q, a / p, beta / p)
     else:
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=rf"not in Z_\({p}\)"):
+            u.scale(Fraction(1, p))
+    if u.beta.is_zero():
+        assert u.scale(Fraction(1, q)) == UElement.of(p, q, a / q)
+    else:
+        with pytest.raises(ShapeMismatch, match=rf"not defined on Q/Z_\({q}\)"):
             u.scale(Fraction(1, q))
-    for leaves in (lambda: a + Fraction(1, p), lambda: a - Fraction(1, p)):
+        with pytest.raises(ShapeMismatch, match=rf"not defined on Q/Z_\({q}\)"):
+            u.beta.scale(Fraction(1, q))
+    # f·a is checked before β: 1/(p·q) fails on both, and the ℤ_(p) error wins
+    w = UElement.of(p, q, 1, Fraction(1, q))
+    with pytest.raises(ShapeMismatch, match=rf"not in Z_\({p}\)"):
+        w.scale(Fraction(1, p * q))
+    c = data.draw(localized_at(q))
+    for leaves in (
+        lambda: RElement(p, q, a + Fraction(1, p), 0, c),
+        lambda: RElement(p, q, a - Fraction(1, p), 0, c),
+        lambda: RElement(p, q, a, 0, c + Fraction(1, q)),
+        lambda: UElement.of(p, q, a + Fraction(1, p)),
+    ):
         with pytest.raises(ShapeMismatch):
-            leaves()  # a ± 1/p always has p in its denominator
+            leaves()  # a ± 1/p always has p in its denominator, c + 1/q has q
     with pytest.raises(ShapeMismatch):
-        a + LocalizedRational(Fraction(1), q)  # localizations at different primes
+        u + UElement.of(q, p, 1)  # elements over different prime pairs
 
 
 # -- the ring R and the module U ----------------------------------------------

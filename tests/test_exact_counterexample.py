@@ -6,6 +6,7 @@ import pytest
 
 from modcheck.errors import (
     CertificateFailed,
+    NonPrime,
     NotWellDefined,
     ShapeMismatch,
     UnresolvedDivision,
@@ -285,6 +286,21 @@ def test_partial_hom_preimage_round_trip():
         r = h.preimage_of(target)
         assert h.apply_to_multiple(r) == target
         assert h.in_source(h.source_generator().act(r))
+
+
+@pytest.mark.parametrize(
+    "p, q, error",
+    [(4, 3, NonPrime), (9, 2, NonPrime), (-3, 2, NonPrime), (4, 9, NonPrime), (3, 3, ShapeMismatch)],
+)
+def test_cases_and_witness_refuse_a_bad_prime_pair(p, q, error):
+    with pytest.raises(error):
+        verify_direct_case(1, p, q)
+    with pytest.raises(error):
+        fiep_failure_report(p, q)
+    with pytest.raises(error):
+        sample_uelements(p, q)
+    with pytest.raises(error):
+        sample_relements(p, q)
 
 
 def test_fiep_failure_report_is_premise_checked_and_labeled():

@@ -343,6 +343,14 @@ def test_array_passes_cut_small_give_the_same_scan(
     assert fiep_scan(lat, **settings) == rep
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_fiep_scan_refuses_a_width_below_one(fixtures_by_name, n_max):
+    # a scan of no decomposition width would check no pair and pass
+    lat = lattice_of(fixtures_by_name["chain_f2_k2_sq"].module)
+    with pytest.raises(ValueError, match="n_max"):
+        fiep_scan(lat, n_max=n_max)
+
+
 def test_families_past_the_module_length_add_no_witnesses(fixtures_by_name):
     # semisimple3_f2 has length 3, so every family past 3 parts is empty
     lat = lattice_of(fixtures_by_name["semisimple3_f2"].module)

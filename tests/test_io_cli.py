@@ -81,7 +81,7 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-# subcommand -> its positional arguments and the shared flags it honours
+# subcommand -> its required arguments and the shared flags it honours
 CLI_FLAGS = {
     "report": (("m.json",), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--format", "--out")),
     "lattice": (("m.json",), ("--cap-dim", "--format", "--out")),
@@ -89,6 +89,7 @@ CLI_FLAGS = {
     "summands": (("m.json",), ("--cap-dim", "--out")),
     "homs": (("a.json", "b.json"), ("--out",)),
     "exact": ((), ("--p", "--q", "--out")),
+    "zext": (("--a", "2", "--b", "3"), ("--out",)),
     "verify": ((), ("--cap-dim", "--cap-hom", "--n-max", "--seed", "--p", "--q", "--out")),
 }
 FLAG_VALUES = {
@@ -107,7 +108,7 @@ def test_cli_subcommands_take_only_the_flags_they_honour(capsys, command):
     for flag in values.keys() - set(kept):
         assert main([command, *positionals, f"{flag}={values[flag]}"]) == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
-    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 26
+    assert sum(len(flags) for _, flags in CLI_FLAGS.values()) == 27
 
 
 def test_cli_report_json_and_text(capsys):
@@ -253,15 +254,18 @@ def test_cli_exact_single_x_and_zext(capsys):
     assert run_cli(capsys, "exact", "--x", "8/6") == (code, out, "")
     assert {c["x"] for c in doc["certificates"][:2]} == {"4/3"}
 
-    code, out, _ = run_cli(capsys, "exact", "zext", "--a", "2", "--b", "3")
+    code, out, _ = run_cli(capsys, "zext", "--a", "2", "--b", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["neither"] is True
 
-    assert main(["exact", "zext"]) == 2  # --a/--b are required here
-    capsys.readouterr()
-    assert main(["exact", "zext", "--a", "0", "--b", "3"]) == 2
-    capsys.readouterr()
+    for argv in (["zext"], ["zext", "--a", "2"], ["zext", "--a", "0", "--b", "3"]):
+        assert main(argv) == 2, argv  # --a/--b are required and nonzero
+        capsys.readouterr()
+    # the integer routes are their own command: exact takes none of their flags
+    for argv in (["exact", "zext", "--a", "2", "--b", "3"], ["exact", "--a", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err, argv
 
 
 @pytest.mark.parametrize(
@@ -270,7 +274,7 @@ def test_cli_exact_single_x_and_zext(capsys):
         (["exact", "--cap-dim", "2"], "unrecognized arguments: --cap-dim"),
         (["exact", "--cap-dim=2"], "unrecognized arguments: --cap-dim=2"),
         (["exact", "--seed", "1"], "unrecognized arguments: --seed"),
-        (["exact", "bogus"], "unknown exact mode 'bogus'"),
+        (["exact", "bogus"], "unrecognized arguments: bogus"),
         (["exact", "--x", "abc"], "argument --x: not a rational number: 'abc'"),
         (["exact", "--x", "1/0"], "argument --x: not a rational number: '1/0'"),
     ],
@@ -278,6 +282,40 @@ def test_cli_exact_single_x_and_zext(capsys):
 def test_cli_exact_names_the_argument_it_rejects(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and named in err
+
+
+@pytest.mark.parametrize(
+    "p, q, named",
+    [
+        ("4", "3", "argument --p: not a prime: '4'"),
+        ("9", "2", "argument --p: not a prime: '9'"),
+        ("-3", "2", "argument --p: not a prime: '-3'"),
+        ("4", "9", "argument --p: not a prime: '4'"),
+        ("2", "9", "argument --q: not a prime: '9'"),
+        ("3", "3", "--p and --q must be distinct primes"),
+    ],
+)
+@pytest.mark.parametrize("command", ["exact", "verify"])
+def test_cli_exact_and_verify_refuse_a_bad_prime_pair(capsys, command, p, q, named):
+    code, out, err = run_cli(
+        capsys, command, "--p", p, "--q", q, "--only", "localization-counterexample"
+    ) if command == "verify" else run_cli(capsys, command, "--p", p, "--q", q)
+    assert code == 2 and out == "" and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fiep", "{chain}", "--n-max", "0"],
+        ["report", "{chain}", "--n-max", "0"],
+        ["verify", "--n-max", "-1", "--only", "exchange-property"],
+        ["verify", "--n-max", "two", "--only", "exchange-property"],
+    ],
+)
+def test_cli_n_max_takes_a_positive_integer(capsys, argv):
+    argv = [a.format(chain=fixture_path("chain_f2_k2_sq")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "argument --n-max: not a positive integer" in err
 
 
 @pytest.mark.parametrize("p, q", [(3, 2), (2, 5), (5, 3)])
