@@ -20,7 +20,6 @@ from .endos import (
     PartialHom,
     UnitCertificate,
     endo_is_unit,
-    mult_endo,
     nonlocal_witness,
 )
 from .pruefer import PrueferElement
@@ -64,7 +63,6 @@ __all__ = [
     "f_of",
     "fiep_failure_report",
     "in_localization",
-    "mult_endo",
     "nonlocal_witness",
     "representing_r",
     "sample_relements",

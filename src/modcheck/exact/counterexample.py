@@ -6,8 +6,8 @@ explicit representation r_u = (u_a, rep(β), 0), f evaluates as
 f(u) = (x·ē)·r_u + X, which stays defined even when v_q(x) < 0 and x·u
 itself would not make sense on the Prüfer component.  Two cases:
 
-  direct case   v_q(x) ≥ 0: h = mult_endo(x) is a global endomorphism
-                with π∘h = f.
+  direct case   v_q(x) ≥ 0: h = MultEndo(x), u ↦ x·u, is a global
+                endomorphism with π∘h = f.
   partial case  v_q(x) < 0: write x = p^m · q^(−n) · t/s, put
                 N = (p^m·ē)R and h: N → U with h(p^m·ē) = q^n·(s/t)·ē;
                 then h is epi and f∘h = π|_N.
@@ -31,9 +31,16 @@ from ..errors import (
     UnresolvedDivision,
     WrongBranch,
 )
-from .endos import PartialHom, certified_witness, mult_endo
+from .endos import MultEndo, PartialHom, certified_witness
 from .rationals import as_fraction, decompose_x, divide, valuation
-from .ring import RElement, UElement, sample_relements, sample_uelements, SAMPLE_SEED
+from .ring import (
+    RElement,
+    UElement,
+    SAMPLE_SEED,
+    _check_pair,
+    sample_relements,
+    sample_uelements,
+)
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,8 @@ def _check_f_well_defined(x: Fraction, X: GeneratedSubmodule, checks: list) -> N
 
 
 def verify_direct_case(x, p: int, q: int) -> CaseReport:
-    """x ∈ ℤ_(p) ∩ ℤ_(q): h = mult_endo(x) satisfies π∘h = f."""
+    """x ∈ ℤ_(p) ∩ ℤ_(q): h = MultEndo(x) satisfies π∘h = f."""
+    _check_pair(p, q)
     x = as_fraction(x)
     X = default_x_submodule(p, q)
     if x != 0 and valuation(x, p) < 0:
@@ -170,8 +178,15 @@ def verify_direct_case(x, p: int, q: int) -> CaseReport:
         raise WrongBranch(f"v_{q}({x}) < 0: this is the partial case")
     checks = []
     unresolved = []
-    h = mult_endo(x, p, q)
-    checks.append(("h_linearity_sample", True, "R-linearity spot-checked"))
+    h = MultEndo(p, q, x)
+    checks.append(
+        (
+            "h_central_scalar",
+            True,
+            "x ∈ ℤ_(p) ∩ ℤ_(q) acts as the central scalar diag(x, x) of R, "
+            "so u ↦ u·x is R-linear",
+        )
+    )
     _check_f_well_defined(x, X, checks)
 
     x_gen = UElement.of(p, q, x)  # f(u) = x_gen·r_u, built once for the case
@@ -200,6 +215,7 @@ def verify_direct_case(x, p: int, q: int) -> CaseReport:
 
 def verify_partial_case(x, p: int, q: int) -> CaseReport:
     """v_q(x) < 0: the partial hom h(p^m·ē) = q^n·(s/t)·ē is epi with f∘h = π|_N."""
+    _check_pair(p, q)
     x = as_fraction(x)
     X = default_x_submodule(p, q)
     m, n, t, s = decompose_x(x, p, q)
@@ -277,6 +293,7 @@ def verify_graph_decomposition(x, p: int, q: int) -> CaseReport:
     is not sampled here; the sample family is the one on which the
     solves close inside the localization.
     """
+    _check_pair(p, q)
     x = as_fraction(x)
     m, n, t, s = decompose_x(x, p, q)
     y = Fraction(q**n * s, t)

@@ -9,22 +9,28 @@ element-level certificate:
   v_p(x) > 0: ē = (1, 0) has no preimage, because x·(a, β) would need
               a = 1/x on the first component and v_p(1/x) < 0.
   v_q(x) > 0: (0, 1/q) is a nonzero kernel element, because x/q ∈ ℤ_(q).
+
+u ↦ x·u is right multiplication by the central scalar diag(x, x) of R,
+so it is R-linear and additive by construction, and x + y = 1 makes
+u ↦ x·u + y·u the identity.  tests/test_exact_arithmetic.py checks these
+identities of the arithmetic; the checks here are evidence about the
+instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ..errors import CertificateFailed, NotWellDefined, ShapeMismatch
 from .rationals import as_fraction, divide, valuation, xgcd
-from .ring import RElement, UElement, sample_relements, sample_uelements
+from .ring import RElement, UElement, _check_pair
 
 
 @dataclass(frozen=True)
 class MultEndo:
-    """u ↦ x·u on U, for x with v_p(x) ≥ 0 and v_q(x) ≥ 0."""
+    """u ↦ x·u on U, for x with v_p(x) ≥ 0 and v_q(x) ≥ 0: right
+    multiplication by the central scalar diag(x, x), so R-linear."""
 
     p: int
     q: int
@@ -42,41 +48,6 @@ class MultEndo:
         if (u.p, u.q) != (self.p, self.q):
             raise ShapeMismatch("element from a different module")
         return u.scale(self.x)
-
-    def plus(self, other: "MultEndo") -> "MultEndo":
-        return MultEndo(self.p, self.q, self.x + other.x)
-
-    def is_identity_on(self, samples) -> bool:
-        return all(self.apply(u) == u for u in samples)
-
-
-# The spot-check's products u·r and sums u+v depend only on (p, q), so a
-# small bounded memo shares them across every x checked at that pair.
-@lru_cache(maxsize=32)
-def _linearity_samples(p: int, q: int) -> tuple:
-    """(us, rs, products, sums): products[i][j] = us[i]·rs[j] and
-    sums[i][j] = us[i] + us[j] over the first 8 samples of each kind."""
-    us = sample_uelements(p, q)[:8]
-    rs = sample_relements(p, q)[:8]
-    products = tuple(tuple(u.act(r) for r in rs) for u in us)
-    sums = tuple(tuple(u + v for v in us) for u in us)
-    return us, rs, products, sums
-
-
-def mult_endo(x, p: int, q: int) -> MultEndo:
-    """Build u ↦ x·u and spot-check R-linearity on a deterministic sample."""
-    h = MultEndo(p, q, as_fraction(x))
-    us, rs, products, sums = _linearity_samples(p, q)
-    images = [h.apply(u) for u in us]
-    for u, hu, row in zip(us, images, products):
-        for r, ur in zip(rs, row):
-            if h.apply(ur) != hu.act(r):
-                raise CertificateFailed(f"h(u·r) != h(u)·r for x={x}, u={u}, r={r}")
-    for hu, row in zip(images, sums):
-        for hv, uv in zip(images, row):
-            if h.apply(uv) != hu + hv:
-                raise CertificateFailed(f"additivity failed for x={x}")
-    return h
 
 
 @dataclass(frozen=True)
@@ -119,20 +90,12 @@ def endo_is_unit(e: MultEndo) -> UnitCertificate:
     if vp > 0:
         # x·(a, β) has first component x·a with v_p ≥ vp > 0, so ē is missed.
         missed = UElement.generator(p, q)
-        if valuation(Fraction(1) / x, p) >= 0:
-            raise CertificateFailed(f"ē is not missed: v_{p}(1/{x}) >= 0")
     if vq > 0:
         kernel = UElement.of(p, q, 0, Fraction(1, q))
         if kernel.is_zero() or not e.apply(kernel).is_zero():
             raise CertificateFailed(f"(0, 1/{q}) is not a nonzero kernel element of x={x}")
-    is_unit = vp == 0 and vq == 0
-    if is_unit:
-        # Inverse multiplication is well defined, so check it really inverts.
-        inv = MultEndo(p, q, Fraction(1) / x)
-        gen = UElement.generator(p, q)
-        if inv.apply(e.apply(gen)) != gen:
-            raise CertificateFailed(f"inverse check failed for x={x}")
-    return UnitCertificate(x, is_unit, vp, vq, missed, kernel)
+    # Both valuations zero: u ↦ u/x is well defined and inverts e.
+    return UnitCertificate(x, vp == 0 and vq == 0, vp, vq, missed, kernel)
 
 
 def nonlocal_witness(p: int, q: int) -> tuple:
@@ -148,22 +111,16 @@ def nonlocal_witness(p: int, q: int) -> tuple:
 def certified_witness(p: int, q: int) -> tuple:
     """((x, y), (cert_x, cert_y)): the non-local witness pair together
     with the unit certificates that rule out both members."""
-    g, u, v = xgcd(p, q)
-    if g != 1:
-        raise ShapeMismatch(f"{p} and {q} are not coprime")
+    _check_pair(p, q)  # two distinct primes, so xgcd's g is 1
+    _, u, v = xgcd(p, q)
     x = Fraction(u * p)
     y = Fraction(v * q)
     if x + y != 1:
         raise CertificateFailed(f"Bézout pair ({x}, {y}) does not sum to 1")
-    ex = mult_endo(x, p, q)
-    ey = mult_endo(y, p, q)
-    cx = endo_is_unit(ex)
-    cy = endo_is_unit(ey)
+    cx = endo_is_unit(MultEndo(p, q, x))
+    cy = endo_is_unit(MultEndo(p, q, y))
     if cx.is_unit or cy.is_unit:
         raise CertificateFailed(f"witness pair ({x}, {y}) contains a unit")
-    samples = sample_uelements(p, q)
-    if not ex.plus(ey).is_identity_on(samples):
-        raise CertificateFailed("witness pair does not sum to the identity")
     return (x, y), (cx, cy)
 
 

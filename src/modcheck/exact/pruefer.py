@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import ShapeMismatch
+from ..errors import NonPrime, ShapeMismatch
 from .rationals import as_fraction
 
 
@@ -52,7 +52,10 @@ class PrueferElement:
 
     @classmethod
     def from_rational(cls, q: int, x) -> "PrueferElement":
-        """The class of x; the only place a rational becomes a class."""
+        """The class of x; the only place a rational becomes a class.
+        A q below 2 raises NonPrime, as ``valuation`` does."""
+        if q < 2:
+            raise NonPrime(f"{q} is not a prime")
         x = as_fraction(x)
         den, n = x.denominator, 0
         while den % q == 0:

@@ -16,6 +16,7 @@ from math import gcd
 
 from ..errors import (
     CertificateFailed,
+    NonPrime,
     ShapeMismatch,
     UnresolvedDivision,
     WrongBranch,
@@ -35,7 +36,12 @@ def as_fraction(x) -> Fraction:
 
 
 def valuation(x, prime: int) -> int:
-    """Exponent of ``prime`` in x (negative when it divides the denominator)."""
+    """Exponent of ``prime`` in x (negative when it divides the denominator).
+
+    A prime below 2 raises NonPrime: the stripping loops below would
+    never end at 1 and would divide by zero at 0."""
+    if prime < 2:
+        raise NonPrime(f"{prime} is not a prime")
     x = as_fraction(x)
     if x == 0:
         raise ZeroInput("valuation of zero is undefined")

@@ -28,10 +28,10 @@ from modcheck import (
     verify_claims,
 )
 from modcheck.exact import (
+    MultEndo,
     brute_route_scan,
     endo_is_unit,
     fiep_failure_report,
-    mult_endo,
     nonlocal_witness,
     verify_direct_case,
     verify_partial_case,
@@ -189,8 +189,8 @@ def test_criterion_08_exact_counterexample():
         unresolved.extend(rep.unresolved)
     wx, wy = nonlocal_witness(2, 3)
     ok = ok and wx + wy == 1
-    ok = ok and not endo_is_unit(mult_endo(wx, 2, 3)).is_unit
-    ok = ok and not endo_is_unit(mult_endo(wy, 2, 3)).is_unit
+    ok = ok and not endo_is_unit(MultEndo(2, 3, wx)).is_unit
+    ok = ok and not endo_is_unit(MultEndo(2, 3, wy)).is_unit
     failure = fiep_failure_report(2, 3)
     ok = ok and failure.label == "CITED-IMPLICATION" and bool(failure.citation)
     ok = ok and "does not satisfy the finite internal exchange property" in failure.verdict

@@ -1,6 +1,7 @@
 """Exact layer: ℤ_(p) entries as Fractions, Prüfer components, and the ring R."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings
@@ -15,6 +16,7 @@ from modcheck.errors import (
 )
 from modcheck.exact import rationals as rationals_module
 from modcheck.exact.counterexample import representing_r
+from modcheck.exact.endos import MultEndo, endo_is_unit
 from modcheck.exact.pruefer import PrueferElement
 from modcheck.exact.rationals import (
     as_fraction,
@@ -419,3 +421,81 @@ def test_as_fraction_accepts_strings_and_integers():
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(ShapeMismatch):
         as_fraction(1.5)
+
+
+# -- identities of u ↦ u·x that the exact backend uses without re-checking ----
+#
+# For x ∈ ℤ_(p) ∩ ℤ_(q), u ↦ u·x is right multiplication by the central
+# scalar diag(x, x) of R.  The engine builds MultEndo(p, q, x) and certifies
+# units by valuations alone, so these identities are checked here, once.
+
+
+def central_scalars(p, q):
+    """x ∈ ℤ_(p) ∩ ℤ_(q): the denominator is coprime to p·q."""
+    return st.builds(
+        Fraction,
+        st.integers(-((p * q) ** 4), (p * q) ** 4),
+        st.integers(1, 200).filter(lambda d: gcd(d, p * q) == 1),
+    )
+
+
+def uelements(p, q):
+    return st.builds(
+        lambda a, beta: UElement.of(p, q, a, beta), localized_at(p), pruefer_rationals(q)
+    )
+
+
+def relements(p, q):
+    return st.builds(
+        lambda a, b, c: RElement(p, q, a, b, c),
+        localized_at(p),
+        pruefer_rationals(q),
+        localized_at(q),
+    )
+
+
+@st.composite
+def mult_endo_cases(draw):
+    """(p, q, x, u, v, r): a scalar x, two elements of U and one of R."""
+    p, q = draw(prime_pairs)
+    u, v = draw(uelements(p, q)), draw(uelements(p, q))
+    return p, q, draw(central_scalars(p, q)), u, v, draw(relements(p, q))
+
+
+@seed(20242)
+@given(mult_endo_cases())
+@settings(max_examples=300, deadline=None)
+def test_mult_endo_is_r_linear_and_additive(case):
+    p, q, x, u, v, r = case
+    h = MultEndo(p, q, x)
+    assert h.apply(u.act(r)) == h.apply(u).act(r), "h(u·r) != h(u)·r"
+    assert h.apply(u + v) == h.apply(u) + h.apply(v), "h(u + v) != h(u) + h(v)"
+
+
+@seed(20243)
+@given(mult_endo_cases())
+@settings(max_examples=200, deadline=None)
+def test_complementary_scalars_sum_to_the_identity(case):
+    # the non-local witness checks x + y = 1 and nothing more
+    p, q, x, u, _, _ = case
+    assert MultEndo(p, q, x).apply(u) + MultEndo(p, q, 1 - x).apply(u) == u
+
+
+@seed(20244)
+@given(nonzero_rationals, prime_pairs)
+@settings(max_examples=300, deadline=None)
+def test_valuation_of_the_inverse_is_the_negative(x, pq):
+    for prime in pq:
+        assert valuation(1 / x, prime) == -valuation(x, prime)
+
+
+@seed(20245)
+@given(mult_endo_cases())
+@settings(max_examples=200, deadline=None)
+def test_a_unit_scalar_is_undone_by_its_inverse(case):
+    p, q, x, u, _, _ = case
+    if x == 0 or valuation(x, p) or valuation(x, q):
+        return
+    h = MultEndo(p, q, x)
+    assert endo_is_unit(h).is_unit
+    assert MultEndo(p, q, 1 / x).apply(h.apply(u)) == u

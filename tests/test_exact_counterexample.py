@@ -1,9 +1,14 @@
 """End-to-end checks of the localization example: U² lifting, End(U) not local."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modcheck
 from modcheck.errors import (
     CertificateFailed,
     NonPrime,
@@ -27,7 +32,6 @@ from modcheck.exact.endos import (
     PartialHom,
     certified_witness,
     endo_is_unit,
-    mult_endo,
     nonlocal_witness,
 )
 from modcheck.exact.rationals import decompose_x
@@ -39,6 +43,8 @@ from modcheck.exact.ring import (
     sample_uelements,
 )
 from modcheck.exact.zext import brute_route_scan, z_extension_routes
+
+import test_exact_arithmetic as arithmetic
 
 DIRECT_XS = (Fraction(1), Fraction(3, 5), Fraction(7, 5))
 PARTIAL_XS = (Fraction(4, 3), Fraction(10, 9), Fraction(8, 3))
@@ -176,10 +182,10 @@ def test_membership_solver_on_the_standing_x():
 
 def test_mult_endo_requires_both_localizations():
     with pytest.raises(NotWellDefined):
-        mult_endo(Fraction(1, 2), 2, 3)
+        MultEndo(2, 3, Fraction(1, 2))
     with pytest.raises(NotWellDefined):
-        mult_endo(Fraction(4, 3), 2, 3)
-    h = mult_endo(Fraction(3, 5), 2, 3)
+        MultEndo(2, 3, Fraction(4, 3))
+    h = MultEndo(2, 3, Fraction(3, 5))
     u = UElement.of(2, 3, 2, Fraction(1, 9))
     assert h.apply(u) == UElement.of(2, 3, Fraction(6, 5), Fraction(1, 15))
 
@@ -196,29 +202,30 @@ def _perturbed_apply(monkeypatch, target):
     monkeypatch.setattr(MultEndo, "apply", apply)
 
 
+# The engine relies on u ↦ u·x being R-linear and additive without
+# re-checking it; the property test in test_exact_arithmetic is what checks
+# it, so a map broken on one element must make that test's body fail.
+linearity_property = arithmetic.test_mult_endo_is_r_linear_and_additive.hypothesis.inner_test
+
+
 def test_mult_endo_catches_a_map_that_is_not_r_linear(monkeypatch):
     p, q = 2, 3
-    us = sample_uelements(p, q)[:8]
-    rs = sample_relements(p, q)[:8]
-    sums = {u + v for u in us for v in us}
-    target = next(
-        ur for ur in (u.act(r) for u in us for r in rs) if ur not in us and ur not in sums
-    )
-    _perturbed_apply(monkeypatch, target)
-    with pytest.raises(CertificateFailed, match=r"h\(u·r\) != h\(u\)·r"):
-        mult_endo(Fraction(3, 5), p, q)
+    u, zero = sample_uelements(p, q)[2], UElement.zero(p, q)
+    r = next(r for r in sample_relements(p, q) if u.act(r) not in (u, zero))
+    linearity_property((p, q, Fraction(3, 5), u, zero, r))
+    _perturbed_apply(monkeypatch, u.act(r))
+    with pytest.raises(AssertionError, match=r"h\(u·r\) != h\(u\)·r"):
+        linearity_property((p, q, Fraction(3, 5), u, zero, r))
 
 
 def test_mult_endo_catches_a_map_that_is_not_additive(monkeypatch):
     p, q = 2, 3
-    us = sample_uelements(p, q)[:8]
-    products = {u.act(r) for u in us for r in sample_relements(p, q)[:8]}
-    target = next(
-        uv for uv in (u + v for u in us for v in us) if uv not in us and uv not in products
-    )
-    _perturbed_apply(monkeypatch, target)
-    with pytest.raises(CertificateFailed, match="additivity failed"):
-        mult_endo(Fraction(3, 5), p, q)
+    u, v = sample_uelements(p, q)[2:4]
+    one = RElement.one(p, q)
+    linearity_property((p, q, Fraction(3, 5), u, v, one))
+    _perturbed_apply(monkeypatch, u + v)
+    with pytest.raises(AssertionError, match=r"h\(u \+ v\) != h\(u\) \+ h\(v\)"):
+        linearity_property((p, q, Fraction(3, 5), u, v, one))
 
 
 def test_unit_certificate_checks_raise_rather_than_assert(monkeypatch):
@@ -233,21 +240,21 @@ def test_unit_certificate_checks_raise_rather_than_assert(monkeypatch):
 
 
 def test_unit_certificates_carry_element_evidence():
-    cert = endo_is_unit(mult_endo(Fraction(5), 2, 3))
+    cert = endo_is_unit(MultEndo(2, 3, Fraction(5)))
     assert cert.is_unit and cert.missed_element is None and cert.kernel_element is None
 
-    cert = endo_is_unit(mult_endo(Fraction(2), 2, 3))
+    cert = endo_is_unit(MultEndo(2, 3, Fraction(2)))
     assert not cert.is_unit and cert.vp == 1
     assert cert.missed_element == UElement.generator(2, 3)
 
-    e = mult_endo(Fraction(3), 2, 3)
+    e = MultEndo(2, 3, Fraction(3))
     cert = endo_is_unit(e)
     assert not cert.is_unit and cert.vq == 1
     assert cert.kernel_element is not None
     assert not cert.kernel_element.is_zero()
     assert e.apply(cert.kernel_element).is_zero()
 
-    cert = endo_is_unit(mult_endo(Fraction(0), 2, 3))
+    cert = endo_is_unit(MultEndo(2, 3, Fraction(0)))
     assert not cert.is_unit
     assert cert.missed_element is not None and cert.kernel_element is not None
 
@@ -255,19 +262,18 @@ def test_unit_certificates_carry_element_evidence():
 def test_nonlocal_witness_sums_to_identity():
     x, y = nonlocal_witness(2, 3)
     assert x + y == 1
-    cx = endo_is_unit(mult_endo(x, 2, 3))
-    cy = endo_is_unit(mult_endo(y, 2, 3))
-    assert not cx.is_unit and not cy.is_unit
-    total = mult_endo(x, 2, 3).plus(mult_endo(y, 2, 3))
-    assert total.is_identity_on(sample_uelements(2, 3))
+    hx, hy = MultEndo(2, 3, x), MultEndo(2, 3, y)
+    assert not endo_is_unit(hx).is_unit and not endo_is_unit(hy).is_unit
+    for u in sample_uelements(2, 3):
+        assert hx.apply(u) + hy.apply(u) == u
 
 
 def test_nonlocal_witness_other_prime_pairs():
     for p, q in ((2, 5), (3, 5), (5, 7)):
         x, y = nonlocal_witness(p, q)
         assert x + y == 1
-        assert not endo_is_unit(mult_endo(x, p, q)).is_unit
-        assert not endo_is_unit(mult_endo(y, p, q)).is_unit
+        assert not endo_is_unit(MultEndo(p, q, x)).is_unit
+        assert not endo_is_unit(MultEndo(p, q, y)).is_unit
 
 
 def test_partial_hom_certificates():
@@ -296,11 +302,47 @@ def test_cases_and_witness_refuse_a_bad_prime_pair(p, q, error):
     with pytest.raises(error):
         verify_direct_case(1, p, q)
     with pytest.raises(error):
+        verify_partial_case("4/3", p, q)
+    with pytest.raises(error):
+        verify_graph_decomposition("4/3", p, q)
+    with pytest.raises(error):
         fiep_failure_report(p, q)
     with pytest.raises(error):
         sample_uelements(p, q)
     with pytest.raises(error):
         sample_relements(p, q)
+
+
+PRIME_BELOW_TWO_CALLS = """
+from modcheck.errors import NonPrime
+from modcheck.exact import PrueferElement, valuation, verify_direct_case, verify_partial_case
+calls = (
+    lambda: verify_direct_case(1, 2, 1),
+    lambda: verify_partial_case(4, 2, 1),
+    lambda: valuation(3, 1),
+    lambda: valuation(3, 0),
+    lambda: PrueferElement.from_rational(1, 3),
+)
+for call in calls:
+    try:
+        call()
+    except NonPrime:
+        print("NonPrime")
+    else:
+        print("returned")
+"""
+
+
+def test_a_prime_below_two_is_refused_rather_than_looped_on():
+    # At prime 1 valuation's stripping loop never ends, so the calls run in a
+    # subprocess: a hang fails here at the timeout instead of stalling the suite.
+    src = str(Path(modcheck.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", PRIME_BELOW_TWO_CALLS],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=10,
+    )
+    assert run.stdout.split() == ["NonPrime"] * 5
 
 
 def test_fiep_failure_report_is_premise_checked_and_labeled():
